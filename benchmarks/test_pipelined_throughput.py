@@ -1,19 +1,19 @@
-"""Pooled and pipelined remote clients vs. a serial connection.
+"""Threaded and pipelined remote clients vs. a serial connection.
 
-PR 4's client spoke one request at a time over one socket — every
-request paid a full round trip of dead time while the server sat idle,
-and the server answered one request per connection at a time.  The
-resilience layer removes both limits: the sync client drives a
-health-checked connection pool, and the async client multiplexes any
-number of in-flight requests over a single socket, matched to their
-responses by the request ids already on the wire, while the server
-dispatches them concurrently to its worker pool.
+A client that speaks one request at a time over one socket pays a full
+round trip of dead time per request while the server sits idle.  The
+wire client removes that limit: it multiplexes any number of
+in-flight requests over a single socket, matched to their responses by
+the request ids already on the wire, while the server dispatches them
+concurrently to its worker pool.  Asyncio callers pipeline directly;
+threads sharing one synchronous session multiplex the same way.
 
 Two claims to check:
 
-* **correctness** — every answer of every client shape (serial, pooled,
-  pipelined) is identical to a warm-up reference, request by request;
-* **throughput** — pooling and pipelining do not cost throughput, and
+* **correctness** — every answer of every client shape (serial,
+  threaded, pipelined) is identical to a warm-up reference, request by
+  request;
+* **throughput** — threads and pipelining do not cost throughput, and
   with real cores they gain it.  Everything here shares one process and
   one loopback socketpair, so the overlap is scheduling, not parallel
   CPU: the hard ≥-serial gate is conditioned on the host having cores
@@ -41,7 +41,7 @@ QUERIES = (
 CONCURRENCY = 8
 
 
-def test_pipelined_and_pooled_clients_match_and_keep_up():
+def test_pipelined_and_threaded_clients_match_and_keep_up():
     database = build_database(DATASET, "3-clique", selectivity=10)
     result = run_pipelined_throughput(
         database, list(QUERIES), repeats=10, concurrency=CONCURRENCY
@@ -50,7 +50,7 @@ def test_pipelined_and_pooled_clients_match_and_keep_up():
     print(result.format())
 
     assert result.consistent, \
-        "pooled/pipelined answers diverged from serial"
+        "threaded/pipelined answers diverged from serial"
     assert result.operations == 20
 
     # Unconditional sanity floor: multiplexing must never cost more than
@@ -59,8 +59,8 @@ def test_pipelined_and_pooled_clients_match_and_keep_up():
         f"pipelined client fell to {result.pipelined_speedup:.2f}x of "
         f"serial throughput"
     )
-    assert result.pooled_speedup >= 0.5, (
-        f"pooled client fell to {result.pooled_speedup:.2f}x of "
+    assert result.threaded_speedup >= 0.5, (
+        f"threaded client fell to {result.threaded_speedup:.2f}x of "
         f"serial throughput"
     )
 
@@ -77,7 +77,7 @@ def test_pipelined_and_pooled_clients_match_and_keep_up():
     # Thread-pool overlap contends on the GIL as well as the wire; hold
     # it to >= serial only where there are cores for the threads.
     if cpus >= 4:
-        assert result.pooled_speedup >= 1.0, (
-            f"expected pooled >= serial throughput, got "
-            f"{result.pooled_speedup:.2f}x"
+        assert result.threaded_speedup >= 1.0, (
+            f"expected threaded >= serial throughput, got "
+            f"{result.threaded_speedup:.2f}x"
         )

@@ -387,7 +387,6 @@ def connect(source: Union[Database, str, Iterable[Relation], None] = None,
             engine: Optional[QueryEngine] = None,
             plan_cache_size: int = 128,
             result_cache_size: int = 256,
-            pool_size: Optional[int] = None,
             retries: Optional[int] = None):
     """Open a :class:`Session` over a dataset, database, or relations —
     or a :class:`~repro.net.client.RemoteSession` over the network.
@@ -402,16 +401,15 @@ def connect(source: Union[Database, str, Iterable[Relation], None] = None,
     session's default :class:`QueryOptions` — callers override any of
     them per query via ``session.run(query, parallel=4, ...)``.
 
-    ``pool_size`` and ``retries`` tune the remote connection pool (how
-    many TCP connections the client may hold, and how many times an
+    A remote session multiplexes every request — from any number of
+    threads — over one connection.  ``retries`` tunes how many times an
     idempotent request is replayed with backoff after a transport
-    failure); they are remote-only and rejected for in-process sources.
+    failure; it is remote-only and rejected for in-process sources.
 
     A comma-separated multi-host URL — ``repro://h1:p1,h2:p2,...`` —
     opens a :class:`~repro.dist.ClusterSession` instead: each query is
-    partitioned and its shards fan out across the named servers.  A
-    cluster session multiplexes one socket per server, so ``pool_size``
-    does not apply there either.
+    partitioned and its shards fan out across the named servers, one
+    multiplexed connection per server.
 
     ``route`` picks where distributed coordination happens:
     ``"client"`` (the default) fans shards out from this process;
@@ -431,18 +429,12 @@ def connect(source: Union[Database, str, Iterable[Relation], None] = None,
                 "and caches (plan_cache_size/result_cache_size)"
             )
         from repro.net.client import (
-            DEFAULT_POOL_SIZE,
             DEFAULT_RETRIES,
             RemoteSession,
             parse_cluster_url,
         )
 
         if len(parse_cluster_url(source)) > 1:
-            if pool_size is not None:
-                raise OptionsError(
-                    "pool_size tunes the sync remote connection pool; a "
-                    "cluster session multiplexes one socket per server"
-                )
             from repro.dist import ClusterSession
 
             return ClusterSession(
@@ -463,13 +455,12 @@ def connect(source: Union[Database, str, Iterable[Relation], None] = None,
                 use_cache=use_cache, limit=limit, trace=trace,
                 fetch_size=fetch_size, route=route,
             ),
-            pool_size=DEFAULT_POOL_SIZE if pool_size is None else pool_size,
             retries=DEFAULT_RETRIES if retries is None else retries,
         )
-    if pool_size is not None or retries is not None:
+    if retries is not None:
         raise OptionsError(
-            "pool_size/retries tune the remote connection pool; an "
-            "in-process session has no wire to pool or retry"
+            "retries tunes the remote client's reconnect policy; an "
+            "in-process session has no wire to retry"
         )
     if route is not None:
         raise OptionsError(

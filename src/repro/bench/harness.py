@@ -463,11 +463,10 @@ def run_remote_vs_local(database: Database, query_texts: Sequence[str],
 class PipelinedThroughputResult:
     """Throughput of the three remote client shapes on one stream.
 
-    * ``serial`` — one connection, one request at a time: the PR-4
-      baseline client.
-    * ``pooled`` — ``concurrency`` worker threads sharing one
-      :class:`~repro.net.client.RemoteSession`, each request on its own
-      pooled connection.
+    * ``serial`` — one connection, one request at a time: the baseline.
+    * ``threaded`` — ``concurrency`` worker threads sharing one
+      :class:`~repro.net.client.RemoteSession`: the sync façade's
+      requests multiplex over its single connection.
     * ``pipelined`` — ``asyncio.gather`` over the whole stream on one
       :class:`~repro.net.client.AsyncRemoteSession`: every request
       multiplexed over a *single* socket, matched by request id, with
@@ -481,7 +480,7 @@ class PipelinedThroughputResult:
     unique_queries: int
     concurrency: int
     serial_seconds: float
-    pooled_seconds: float
+    threaded_seconds: float
     pipelined_seconds: float
     consistent: bool
     url: str = ""
@@ -494,17 +493,17 @@ class PipelinedThroughputResult:
         return self._qps(self.serial_seconds)
 
     @property
-    def pooled_qps(self) -> float:
-        return self._qps(self.pooled_seconds)
+    def threaded_qps(self) -> float:
+        return self._qps(self.threaded_seconds)
 
     @property
     def pipelined_qps(self) -> float:
         return self._qps(self.pipelined_seconds)
 
     @property
-    def pooled_speedup(self) -> float:
-        return self.serial_seconds / self.pooled_seconds \
-            if self.pooled_seconds else float("inf")
+    def threaded_speedup(self) -> float:
+        return self.serial_seconds / self.threaded_seconds \
+            if self.threaded_seconds else float("inf")
 
     @property
     def pipelined_speedup(self) -> float:
@@ -520,9 +519,9 @@ class PipelinedThroughputResult:
             f"concurrency {self.concurrency}):",
             f"  serial    (1 conn, 1 in flight) : "
             f"{self.serial_qps:>8.1f} q/s",
-            f"  pooled    ({self.concurrency} conns, threads)   : "
-            f"{self.pooled_qps:>8.1f} q/s  "
-            f"({self.pooled_speedup:.2f}x)",
+            f"  threaded  ({self.concurrency} threads, 1 conn)  : "
+            f"{self.threaded_qps:>8.1f} q/s  "
+            f"({self.threaded_speedup:.2f}x)",
             f"  pipelined (1 conn, multiplexed) : "
             f"{self.pipelined_qps:>8.1f} q/s  "
             f"({self.pipelined_speedup:.2f}x)",
@@ -536,19 +535,20 @@ def run_pipelined_throughput(database: Database,
                              concurrency: int = 8,
                              timeout: Optional[float] = None
                              ) -> PipelinedThroughputResult:
-    """Measure what pooling and pipelining buy over a serial connection.
+    """Measure what threads and pipelining buy over a serial connection.
 
     One :class:`~repro.service.QueryService` behind one in-thread
     :class:`~repro.net.server.ReproServer` answers the same
     repeated-query count stream three ways: a serial one-request-at-a-
-    time connection, a thread-driven connection pool, and a single
-    multiplexed asyncio connection carrying every request concurrently
-    (``asyncio.gather``).  A warm-up round runs first so all passes see
-    the same cache state, and every answer of every pass is verified
-    against the warm-up reference — the correctness half of the
-    experiment.  Real overlap needs real cores (and a real network adds
-    the latency that pipelining hides best); in-process over loopback
-    the pooled/pipelined passes mostly measure scheduling overlap.
+    time session, ``concurrency`` threads sharing one synchronous
+    session, and a single multiplexed asyncio connection carrying every
+    request concurrently (``asyncio.gather``).  A warm-up round runs
+    first so all passes see the same cache state, and every answer of
+    every pass is verified against the warm-up reference — the
+    correctness half of the experiment.  Real overlap needs real cores
+    (and a real network adds the latency that pipelining hides best);
+    in-process over loopback the threaded/pipelined passes mostly
+    measure scheduling overlap.
     """
     import asyncio
     from concurrent.futures import ThreadPoolExecutor
@@ -565,14 +565,14 @@ def run_pipelined_throughput(database: Database,
     ) as service:
         with ServerThread(service) as server:
             url = server.url
-            with RemoteSession(url, pool_size=1) as warm:
+            with RemoteSession(url) as warm:
                 expected = {
                     text: warm.run(text, timeout=timeout).count()
                     for text in query_texts
                 }
             reference = [expected[text] for text in stream]
 
-            with RemoteSession(url, pool_size=1) as session:
+            with RemoteSession(url) as session:
                 started = time.perf_counter()
                 serial_answers = [
                     session.run(text, timeout=timeout).count()
@@ -580,16 +580,16 @@ def run_pipelined_throughput(database: Database,
                 ]
                 serial_seconds = time.perf_counter() - started
 
-            with RemoteSession(url, pool_size=concurrency) as session:
+            with RemoteSession(url) as session:
                 with ThreadPoolExecutor(concurrency) as workers:
                     started = time.perf_counter()
-                    pooled_answers = list(workers.map(
+                    threaded_answers = list(workers.map(
                         lambda text: session.run(
                             text, timeout=timeout
                         ).count(),
                         stream,
                     ))
-                    pooled_seconds = time.perf_counter() - started
+                    threaded_seconds = time.perf_counter() - started
 
             async def _pipelined():
                 session = await connect_async(url, timeout=timeout)
@@ -613,10 +613,10 @@ def run_pipelined_throughput(database: Database,
         unique_queries=len(set(query_texts)),
         concurrency=concurrency,
         serial_seconds=serial_seconds,
-        pooled_seconds=pooled_seconds,
+        threaded_seconds=threaded_seconds,
         pipelined_seconds=pipelined_seconds,
         consistent=(serial_answers == reference
-                    and pooled_answers == reference
+                    and threaded_answers == reference
                     and pipelined_answers == reference),
         url=url,
     )

@@ -129,12 +129,9 @@ def _add_target_arguments(sub: argparse.ArgumentParser) -> None:
                      help="shard the query across the servers of a "
                           "repro://h1:p1,h2:p2,... cluster (one shard per "
                           "server unless --parallel overrides)")
-    # Default None so "explicitly asked" is distinguishable: these tune
-    # the remote connection pool and are a contradiction without
-    # --connect, not silently ignored knobs.
-    sub.add_argument("--pool-size", type=int, default=None, metavar="N",
-                     help="with --connect: max TCP connections the client "
-                          "holds to the server (default: 4)")
+    # Default None so "explicitly asked" is distinguishable: this tunes
+    # the remote client and is a contradiction without --connect or
+    # --cluster, not a silently ignored knob.
     sub.add_argument("--retries", type=int, default=None, metavar="N",
                      help="with --connect: how many times an idempotent "
                           "request is replayed with backoff after a "
@@ -412,6 +409,14 @@ def _cmd_datasets() -> int:
     return 0
 
 
+def _remote_query(args: argparse.Namespace):
+    """The query a remote target runs, built before anything is dialled:
+    a parse error must not leave a connected session (and its loop
+    thread) behind."""
+    return pattern(args.pattern).build() if args.pattern \
+        else parse_query(args.text)
+
+
 def _target_session(args: argparse.Namespace,
                     timeout: Optional[float] = None) -> Tuple[object, object]:
     """Build the (session, query) pair a query/explain invocation targets.
@@ -437,14 +442,10 @@ def _target_session(args: argparse.Namespace,
                 "--scale/--selectivity shape an in-process dataset; "
                 "the servers at --cluster own their own"
             )
-        if args.pool_size is not None:
-            raise OptionsError(
-                "--pool-size tunes the sync remote connection pool; a "
-                "cluster session multiplexes one socket per server"
-            )
         from repro.dist import ClusterSession
         from repro.net.client import DEFAULT_RETRIES
 
+        query = _remote_query(args)
         # --parallel left at its default (1) means "one shard per
         # healthy server" for a cluster target — sharding is the point.
         session = ClusterSession(
@@ -457,8 +458,6 @@ def _target_session(args: argparse.Namespace,
             retries=DEFAULT_RETRIES if args.retries is None
             else args.retries,
         )
-        query = pattern(args.pattern).build() if args.pattern \
-            else parse_query(args.text)
         return session, query
     if args.connect:
         if args.scale != 1.0 or args.selectivity is not None:
@@ -468,26 +467,19 @@ def _target_session(args: argparse.Namespace,
                 "--scale/--selectivity shape an in-process dataset; "
                 "the server at --connect owns its own"
             )
-        from repro.net.client import (
-            DEFAULT_POOL_SIZE,
-            DEFAULT_RETRIES,
-            RemoteSession,
-        )
+        from repro.net.client import DEFAULT_RETRIES, RemoteSession
 
+        query = _remote_query(args)
         session: object = RemoteSession(
             args.connect, options=options,
-            pool_size=DEFAULT_POOL_SIZE if args.pool_size is None
-            else args.pool_size,
             retries=DEFAULT_RETRIES if args.retries is None
             else args.retries,
         )
-        query = pattern(args.pattern).build() if args.pattern \
-            else parse_query(args.text)
         return session, query
-    if args.pool_size is not None or args.retries is not None:
+    if args.retries is not None:
         raise OptionsError(
-            "--pool-size/--retries tune the remote connection pool and "
-            "need --connect"
+            "--retries tunes the remote client's reconnect policy and "
+            "needs --connect or --cluster"
         )
     if args.fetch_size is not None:
         raise OptionsError(

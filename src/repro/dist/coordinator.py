@@ -40,7 +40,6 @@ never touch an event loop.
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
 from collections import OrderedDict
 from typing import List, Optional, Tuple
@@ -61,6 +60,7 @@ from repro.net.client import (
     DEFAULT_RETRIES,
     DEFAULT_RETRY_BACKOFF,
     AsyncRemoteResultSet,
+    _LoopThread,
     _options_payload,
     _validate_resilience_knobs,
     parse_cluster_url,
@@ -81,46 +81,6 @@ from repro.dist.gather import (
 )
 from repro.dist.planner import DistExplain, DistPlan
 from repro.dist.topology import ServerState, Topology
-
-
-class _LoopThread:
-    """A private asyncio loop on a daemon thread; sync callers submit."""
-
-    def __init__(self) -> None:
-        self.loop = asyncio.new_event_loop()
-        self._started = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-cluster-loop", daemon=True,
-        )
-        self._thread.start()
-        self._started.wait()
-
-    def _run(self) -> None:
-        asyncio.set_event_loop(self.loop)
-        self.loop.call_soon(self._started.set)
-        try:
-            self.loop.run_forever()
-        finally:
-            # Cancel stragglers (hedge losers, abandoned gathers) so
-            # their transports close before the loop does.
-            pending = asyncio.all_tasks(self.loop)
-            for task in pending:
-                task.cancel()
-            if pending:
-                self.loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True)
-                )
-            self.loop.close()
-
-    def call(self, coro):
-        """Run ``coro`` on the loop thread; block for (and raise) its result."""
-        return asyncio.run_coroutine_threadsafe(coro, self.loop).result()
-
-    def close(self) -> None:
-        if self.loop.is_closed():
-            return
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self._thread.join(timeout=30)
 
 
 class ClusterResultSet(RowCursor):
@@ -364,7 +324,7 @@ class ClusterSession:
                  hedge_after: Optional[float] = None,
                  shard_deadline: Optional[float] = None,
                  wire_encoding: Optional[str] = None) -> None:
-        _validate_resilience_knobs(None, retries, retry_backoff)
+        _validate_resilience_knobs(retries, retry_backoff)
         for name, value in (("hedge_after", hedge_after),
                             ("shard_deadline", shard_deadline)):
             if value is not None and (

@@ -14,12 +14,14 @@ multi-client system::
 * :mod:`repro.net.server` — an :mod:`asyncio` TCP server fronting one
   shared :class:`~repro.service.QueryService`; results are held open as
   **server-side cursors** the client pages with ``FETCH`` requests.
-* :mod:`repro.net.client` — ``connect("repro://host:port")`` returning a
+* :mod:`repro.net.client` — one asyncio wire client,
+  :class:`AsyncRemoteSession` (``connect_async``): a single multiplexed
+  connection that pipelines concurrent requests, reconnects with
+  bounded-backoff retry of idempotent ops, and re-prepares lost
+  statement handles.  ``connect("repro://host:port")`` returns a
   :class:`RemoteSession` with the exact :class:`~repro.api.session.Session`
-  surface (``run`` / ``explain`` / ``close``) behind a health-checked
-  :class:`ConnectionPool` with bounded-backoff retry of idempotent ops,
-  plus ``connect_async`` for ``await session.run(...)`` — a single
-  multiplexed connection that pipelines concurrent requests.
+  surface (``run`` / ``explain`` / ``close``): a thin synchronous façade
+  that drives that same async core from a private event-loop thread.
 
 Everything here sits at the very top of the layer stack; nothing below
 :mod:`repro.cli` imports it at module level.
@@ -29,7 +31,6 @@ from repro.net.client import (
     WIRE_ENCODING_ENV,
     AsyncRemotePreparedHandle,
     AsyncRemoteSession,
-    ConnectionPool,
     RemotePreparedHandle,
     RemoteResultSet,
     RemoteSession,
@@ -43,7 +44,6 @@ from repro.net.server import ReproServer, ServerThread
 __all__ = [
     "AsyncRemotePreparedHandle",
     "AsyncRemoteSession",
-    "ConnectionPool",
     "PROTOCOL_VERSION",
     "RemotePreparedHandle",
     "RemoteResultSet",

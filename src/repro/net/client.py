@@ -1,6 +1,6 @@
 """:class:`RemoteSession` — the client end of the wire protocol.
 
-``connect("repro://host:port")`` opens a pooled client against a
+``connect("repro://host:port")`` opens a client against a
 :class:`~repro.net.server.ReproServer` and returns a session with the
 exact :class:`~repro.api.session.Session` execution surface::
 
@@ -9,36 +9,37 @@ exact :class:`~repro.api.session.Session` execution surface::
             ...
         session.explain("edge(a,b), edge(b,c)").render()
 
-This is the **resilience layer** of the network stack:
+There is one wire client, and it is asynchronous.
+:class:`AsyncRemoteSession` (``connect_async``) **multiplexes** one
+socket: any number of requests may be in flight, matched to their
+responses by the protocol's request ids, so ``asyncio.gather`` over
+many ``session.run(...)`` calls pipelines them through one connection
+and the server overlaps their execution on its worker pool.  It is also
+the **resilience layer**:
 
-* a size-bounded :class:`ConnectionPool` with health-checked checkout —
-  stale sockets left behind by a server restart are detected and
-  replaced, never handed to a request;
-* **automatic reconnect with bounded exponential-backoff retry** for the
-  idempotent operations (``hello`` / ``run`` / ``explain`` / ``count`` /
-  ``stats``): a connection lost mid-request is discarded, a fresh one is
-  dialled, and the request replayed up to ``retries`` times;
-* **never** for a cursor ``fetch``: a server-side cursor lives on one
-  server connection and dies with it, so replaying a fetch could silently
-  skip or repeat rows.  A lost connection mid-stream raises a crisp
+* **automatic reconnect with bounded exponential-backoff retry** for
+  the idempotent operations (:data:`IDEMPOTENT_OPS`): a request whose
+  connection is lost is replayed on a fresh one up to ``retries`` times;
+* **transparent re-prepare**: a prepared handle the server expired, or
+  lost to a restart, is prepared again on the next execute;
+* **never** a retried cursor ``fetch``: a server-side cursor lives on one
+  connection and dies with it, so replaying a fetch could silently skip
+  or repeat rows.  A lost connection mid-stream raises a crisp
   :class:`~repro.errors.CursorError` telling the caller to re-run the
   query instead.
 
-``run`` returns a :class:`RemoteResultSet`: the server holds the lazy
-result stream as a **server-side cursor** and the client pages it with
-``fetchmany``-sized ``fetch`` requests — consuming *k* rows of a huge
-join moves O(k) rows over the wire and pulls O(k) rows from the
-executor, the same laziness contract as a local
-:class:`~repro.api.result.ResultSet`.  The cursor pins one pooled
-connection from first fetch until it drains or closes (cursors are
-per-connection server state); ``run`` / ``count`` / ``explain`` traffic
-flows over the rest of the pool concurrently.
+``run`` returns a result set whose rows stay on the server as a
+**server-side cursor**, paged with ``fetchmany``-sized ``fetch``
+requests — consuming *k* rows of a huge join moves O(k) rows over the
+wire and pulls O(k) rows from the executor, the same laziness contract
+as a local :class:`~repro.api.result.ResultSet`.
 
-``connect_async`` is the :mod:`asyncio` twin — and it **multiplexes**:
-one socket carries any number of in-flight requests, matched to their
-responses by the protocol's request ids, so ``asyncio.gather`` over many
-``session.run(...)`` calls pipelines them through a single connection
-and the server overlaps their execution on its worker pool.
+:class:`RemoteSession`, :class:`RemoteResultSet` and
+:class:`RemotePreparedHandle` are the synchronous surface: thin façades
+that forward every call to the async core on a private event-loop
+thread (:class:`_LoopThread`, shared with
+:class:`~repro.dist.ClusterSession`).  Threads sharing one
+``RemoteSession`` multiplex over its one socket.
 
 Server-reported failures re-raise as their original
 :class:`~repro.errors.ReproError` subclasses (parse errors as
@@ -48,13 +49,14 @@ handling — including the CLI's exit-code mapping — is transport-agnostic.
 
 from __future__ import annotations
 
+import asyncio
 import os
-import socket
+import queue
 import threading
 import time
 from collections import deque
 from dataclasses import asdict
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.api.options import QueryOptions
 from repro.api.result import ResultStats, Row, RowCursor
@@ -93,9 +95,6 @@ def _resolve_wire_encoding(value: Optional[str]) -> str:
         )
     return value
 
-#: Connections a :class:`ConnectionPool` may hold open at once.
-DEFAULT_POOL_SIZE = 4
-
 #: How many times an idempotent request is replayed after a transport
 #: failure (so ``retries=2`` means up to three attempts in total).
 DEFAULT_RETRIES = 2
@@ -113,7 +112,7 @@ _MAX_RETRY_BACKOFF = 2.0
 #: single-server twins.  Cursor ops (``cursor`` / ``cluster_cursor`` /
 #: ``fetch`` / ``close``) are deliberately absent from this set: they
 #: name server-side stream state that dies with its connection (cursor
-#: *opens* get their own replay loop in ``_open_cursor``, which is safe
+#: *opens* are replayed anyway by ``_open_cursor``, which is safe
 #: because an unacknowledged cursor died with its connection).
 IDEMPOTENT_OPS = frozenset(
     {"hello", "run", "explain", "count", "stats", "metrics", "events",
@@ -121,29 +120,13 @@ IDEMPOTENT_OPS = frozenset(
 )
 
 
-class PoolExhausted(NetworkError):
-    """Every pooled connection is checked out and none freed in time.
-
-    Deliberately distinct from transport failures: retrying cannot help
-    (nothing will be checked in while the retry sleeps — the checkout
-    already waited), so the retry loop re-raises this immediately and
-    the caller gets the actionable message without the backoff tax.
-    """
-
-
-def _validate_resilience_knobs(pool_size: Optional[int], retries: int,
-                               retry_backoff: float) -> None:
+def _validate_resilience_knobs(retries: int, retry_backoff: float) -> None:
     """Reject nonsense knob values instead of silently clamping them.
 
     Same boundary discipline as :class:`QueryOptions` (zero timeouts and
-    negative limits raise): a ``pool_size`` below 1, negative
-    ``retries``, or non-positive ``retry_backoff`` is a typo, not a
-    request for different behavior.
+    negative limits raise): negative ``retries`` or a non-positive
+    ``retry_backoff`` is a typo, not a request for different behavior.
     """
-    if pool_size is not None and int(pool_size) < 1:
-        raise OptionsError(
-            f"pool_size must be at least 1, got {pool_size!r}"
-        )
     if int(retries) < 0:
         raise OptionsError(f"retries must be >= 0, got {retries!r}")
     if not float(retry_backoff) > 0:
@@ -293,282 +276,74 @@ def _result(response: dict) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Connections and the pool
+# The event-loop thread behind every synchronous façade
 # ----------------------------------------------------------------------
-class _WireConnection:
-    """One framed TCP connection: request/response, no retry logic.
+class _LoopThread:
+    """A private asyncio loop on a daemon thread; sync callers submit.
 
-    The pool owns reconnection policy; this class only speaks the
-    protocol.  Any transport failure (socket error, EOF, garbage frame,
-    out-of-sequence id) closes the connection and raises
-    :class:`NetworkError` / :class:`ProtocolError` — a poisoned stream
-    must never be reused.
+    The synchronous façades (:class:`RemoteSession` here,
+    :class:`~repro.dist.ClusterSession` in :mod:`repro.dist`) each own
+    one and drive the async wire core through :meth:`call`.
     """
 
-    def __init__(self, host: str, port: int, url: str,
-                 connect_timeout: float) -> None:
-        self.url = url
-        self.closed = False
+    def __init__(self) -> None:
+        self.loop = asyncio.new_event_loop()
+        self._started = threading.Event()
+        self._thread = threading.Thread(
+            target=self._run, name="repro-client-loop", daemon=True,
+        )
+        self._thread.start()
+        self._started.wait()
+
+    def _run(self) -> None:
+        asyncio.set_event_loop(self.loop)
+        self.loop.call_soon(self._started.set)
         try:
-            self._sock = socket.create_connection(
-                (host, port), timeout=connect_timeout
-            )
-        except OSError as error:
-            raise NetworkError(
-                f"could not connect to {url}: {error}"
-            ) from None
-        self._sock.settimeout(None)
-        self._reader = self._sock.makefile("rb")
-        self._bytes = global_registry().counter("repro_client_bytes_total")
-        self._next_id = 0
-        # Prepared statements are per-connection server state: this maps
-        # a client-side (text, algorithm) shape to the handle the server
-        # issued *on this connection*.  A fresh connection starts empty
-        # and re-prepares lazily.
-        self.prepared: Dict[Tuple[str, str], int] = {}
+            self.loop.run_forever()
+        finally:
+            # Cancel stragglers (hedge losers, abandoned gathers) so
+            # their transports close before the loop does.
+            pending = asyncio.all_tasks(self.loop)
+            for task in pending:
+                task.cancel()
+            if pending:
+                self.loop.run_until_complete(
+                    asyncio.gather(*pending, return_exceptions=True)
+                )
+            self.loop.close()
 
-    def exchange(self, op: str, *, _io_timeout: Optional[float] = None,
-                 **params) -> dict:
-        """One request/response round trip; returns the raw response.
+    def call(self, coro):
+        """Run ``coro`` on the loop thread; block for (and raise) its result.
 
-        ``_io_timeout`` bounds the socket wait for this one exchange —
-        used for the ``hello`` handshake, so an endpoint that accepts
-        TCP connections but never answers (not a repro server) cannot
-        hang the client forever.  Queries stay unbounded client-side.
+        Every synchronous wire call pays this hop, so it hands the
+        finished task back through a :class:`queue.SimpleQueue` — about
+        a third cheaper than ``run_coroutine_threadsafe``'s chained
+        futures.  A caller interrupted while it waits
+        (``KeyboardInterrupt``) cancels the coroutine rather than
+        leaving it running unowned.
         """
-        if self.closed:
-            raise NetworkError(f"connection to {self.url} is closed")
-        self._next_id += 1
-        request_id = self._next_id
-        frame = {"id": request_id, "op": op, **params}
+        finished: "queue.SimpleQueue[asyncio.Task]" = queue.SimpleQueue()
+        started: List[asyncio.Task] = []
+
+        def start() -> None:
+            task = self.loop.create_task(coro)
+            task.add_done_callback(finished.put)
+            started.append(task)
+
+        self.loop.call_soon_threadsafe(start)
         try:
-            if _io_timeout is not None:
-                self._sock.settimeout(_io_timeout)
-            try:
-                data = protocol.encode_frame(frame)
-                self._sock.sendall(data)
-                self._bytes.inc(len(data), direction="sent")
-                response = protocol.read_frame(self._counting_read)
-            finally:
-                if _io_timeout is not None and not self.closed:
-                    self._sock.settimeout(None)
-        except OSError as error:
-            self.close()
-            raise NetworkError(
-                f"connection to {self.url} failed: {error}"
-            ) from None
-        except ProtocolError:
-            self.close()
-            raise
-        if response is None:
-            self.close()
-            raise NetworkError(f"server at {self.url} closed the connection")
-        if response.get("id") != request_id:
-            # This client sends one request at a time per connection, so
-            # responses must arrive in lockstep; anything else means the
-            # stream is desynchronized beyond recovery.
-            self.close()
-            raise ProtocolError(
-                f"out-of-sequence response: sent id {request_id}, "
-                f"got {response.get('id')!r}"
-            )
-        return response
-
-    def _counting_read(self, size: int) -> bytes:
-        """``self._reader.read`` metered into ``repro_client_bytes_total``
-        — the received half of the bytes-to-client accounting that peer
-        coordination exists to shrink."""
-        data = self._reader.read(size)
-        if data:
-            self._bytes.inc(len(data), direction="received")
-        return data
-
-    def healthy(self) -> bool:
-        """Cheap liveness probe: is the socket still connected and quiet?
-
-        A non-blocking one-byte peek distinguishes the three states: no
-        data pending (healthy), EOF (the server closed — e.g. it was
-        restarted while this connection sat idle in the pool), and stray
-        unsolicited bytes (a desynchronized stream; also unusable).
-        """
-        if self.closed:
-            return False
-        try:
-            self._sock.settimeout(0.0)
-            try:
-                self._sock.recv(1, socket.MSG_PEEK)
-            finally:
-                self._sock.settimeout(None)
-        except (BlockingIOError, InterruptedError):
-            return True  # connected, nothing pending
-        except OSError:
-            return False
-        return False  # EOF or unsolicited data: either way, unusable
-
-    def close(self) -> None:
-        """Idempotent teardown of the reader and socket."""
-        if self.closed:
-            return
-        self.closed = True
-        try:
-            self._reader.close()
-        except OSError:
-            pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-
-class ConnectionPool:
-    """A size-bounded, health-checked pool of connections to one server.
-
-    ``checkout`` hands back an idle connection when a healthy one exists,
-    dials a new one while fewer than ``size`` are open, and otherwise
-    waits (up to ``connect_timeout`` seconds) for a checkin — so the pool
-    bounds both sockets and the dial rate.  Stale idle connections (a
-    restarted server leaves EOF-ed sockets behind) fail the checkout
-    health probe and are replaced transparently.
-
-    Thread-safe: a :class:`RemoteSession` may be shared by worker threads
-    issuing requests concurrently, each over its own pooled connection.
-    """
-
-    def __init__(self, url: str, size: int = DEFAULT_POOL_SIZE,
-                 connect_timeout: float = 10.0) -> None:
-        self.url = url
-        self.host, self.port = parse_url(url)
-        self.size = max(1, int(size))
-        self.connect_timeout = connect_timeout
-        self._cond = threading.Condition()
-        self._idle: Deque[_WireConnection] = deque()
-        self._all: Set[_WireConnection] = set()
-        self._open = 0  # connections existing: idle + checked out
-        self._closed = False
-        # Resilience accounting, surfaced by RemoteSession.stats().
-        self.checkouts = 0
-        self.dialed = 0
-        self.health_replaced = 0
-
-    def __len__(self) -> int:
-        with self._cond:
-            return self._open
-
-    @property
-    def idle(self) -> int:
-        with self._cond:
-            return len(self._idle)
-
-    def checkout(self) -> _WireConnection:
-        """A healthy connection: idle, freshly dialled, or waited for."""
-        deadline = time.monotonic() + self.connect_timeout
-        registry = global_registry()
-        with self._cond:
-            while True:
-                if self._closed:
-                    raise NetworkError(
-                        f"connection pool to {self.url} is closed"
-                    )
-                while self._idle:
-                    conn = self._idle.popleft()
-                    if conn.healthy():
-                        self.checkouts += 1
-                        registry.counter(
-                            "repro_client_checkouts_total").inc()
-                        return conn
-                    self._forget(conn)
-                    conn.close()
-                    self.health_replaced += 1
-                    registry.counter(
-                        "repro_client_health_replaced_total").inc()
-                if self._open < self.size:
-                    self._open += 1
-                    break  # dial outside the lock
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise PoolExhausted(
-                        f"connection pool to {self.url} exhausted: all "
-                        f"{self.size} connections are in use (undrained "
-                        f"result sets pin one each — drain or close them, "
-                        f"or raise pool_size)"
-                    )
-                self._cond.wait(remaining)
-        try:
-            conn = _WireConnection(self.host, self.port, self.url,
-                                   self.connect_timeout)
+            task = finished.get()
         except BaseException:
-            with self._cond:
-                self._open -= 1
-                self._cond.notify()
+            # Runs after start(): the loop's callbacks are FIFO.
+            self.loop.call_soon_threadsafe(lambda: started[0].cancel())
             raise
-        with self._cond:
-            # close() may have snapshotted its victims while we were
-            # dialling; a connection registered after that snapshot
-            # would outlive the pool, so drop it here instead.
-            closed_meanwhile = self._closed
-            if not closed_meanwhile:
-                self._all.add(conn)
-                self.dialed += 1
-                self.checkouts += 1
-        if closed_meanwhile:
-            conn.close()
-            raise NetworkError(f"connection pool to {self.url} is closed")
-        registry.counter("repro_client_checkouts_total").inc()
-        return conn
-
-    def checkin(self, conn: _WireConnection) -> None:
-        """Return a connection; unusable or post-close ones are dropped."""
-        drop = False
-        with self._cond:
-            if self._closed or conn.closed:
-                self._forget(conn)
-                drop = True
-            else:
-                self._idle.append(conn)
-                self._cond.notify()
-        if drop:
-            conn.close()
-
-    def discard(self, conn: _WireConnection) -> None:
-        """Drop a poisoned connection, freeing its pool slot."""
-        conn.close()
-        with self._cond:
-            self._forget(conn)
-
-    def _forget(self, conn: _WireConnection) -> None:
-        # Caller holds the lock; closing the socket is the caller's job.
-        if conn in self._all:
-            self._all.discard(conn)
-            self._open -= 1
-            self._cond.notify()
-
-    def pop_all_idle(self) -> List[_WireConnection]:
-        """Remove and return every idle connection (for farewells)."""
-        with self._cond:
-            idle = list(self._idle)
-            self._idle.clear()
-            for conn in idle:
-                self._all.discard(conn)
-            self._open -= len(idle)
-            self._cond.notify_all()
-        return idle
+        return task.result()
 
     def close(self) -> None:
-        """Close every connection — including checked-out ones; idempotent.
-
-        Closing pinned connections is deliberate: a session being closed
-        must not leak sockets held by abandoned, undrained result sets.
-        Their next fetch fails with a :class:`CursorError`.
-        """
-        with self._cond:
-            self._closed = True
-            victims = list(self._all)
-            self._all.clear()
-            self._idle.clear()
-            self._open = 0
-            self._cond.notify_all()
-        for conn in victims:
-            conn.close()
+        if self.loop.is_closed():
+            return
+        self.loop.call_soon_threadsafe(self.loop.stop)
+        self._thread.join(timeout=30)
 
 
 class RemoteExplain:
@@ -593,54 +368,80 @@ class RemoteExplain:
         return self._rendered
 
 
-class RemoteResultSet(RowCursor):
-    """A server-side cursor paged over the wire, with the local surface.
+# ----------------------------------------------------------------------
+# The async wire core
+# ----------------------------------------------------------------------
+class AsyncRemoteResultSet:
+    """A server-side cursor paged over the wire.
 
-    The cursor is forward-only and shared across the consumption
-    methods, exactly like a local :class:`~repro.api.result.ResultSet`.
-    From the first fetch until the stream drains (or :meth:`close`), the
-    result set pins one pooled connection: a server-side cursor is
-    per-connection state and cannot migrate.  If that connection is lost
-    mid-stream the cursor is gone — fetches raise :class:`CursorError`
-    (never a silent retry, which could skip or repeat rows); re-run the
-    query for a fresh result set.
+    Supports ``async for`` (bindings), ``await fetchmany/fetchall/count``,
+    and ``await close``; :class:`RemoteResultSet` is its synchronous
+    face.  Shares one forward-only position.  The server holds no cursor
+    until the first fetch, so a result set that is only counted (or
+    never consumed) pins nothing remotely.  The cursor lives on the
+    session's single multiplexed connection; if that connection is lost
+    or re-established (a reconnect after a server restart), the cursor
+    did not survive and fetches raise :class:`CursorError` — never a
+    silent retry, which could skip or repeat rows.
     """
 
-    def __init__(self, session: "RemoteSession", query_text: str,
+    def __init__(self, session: "AsyncRemoteSession", query_text: str,
                  options: QueryOptions, meta: dict,
-                 prepared_key: Optional[Tuple[str, str]] = None) -> None:
+                 prepared_key: Optional[Tuple[str, str]] = None,
+                 shard: Optional[dict] = None,
+                 trace_id: Optional[str] = None,
+                 span: Optional[dict] = None,
+                 open_op: str = "cursor",
+                 open_extra: Optional[dict] = None) -> None:
         self._session = session
         self._text = query_text
         self._options = options
         # Set when this result set executes a prepared statement: the
         # cursor and count travel by handle, never resending query text.
         self._prepared_key = prepared_key
-        # The server holds no cursor yet: one is opened lazily at the
-        # first fetch, so a result set that is only counted (or never
-        # consumed) pins nothing remotely — and no pool connection.
-        self._cursor_id: Optional[int] = None
-        self._conn: Optional[_WireConnection] = None
+        # Which verb opens the cursor ("cluster_cursor" for peer-routed
+        # or peer-dispatched opens) and extra frame fields riding the
+        # open ("hop", "peers").  Fetching afterwards is op-agnostic:
+        # a cursor id names the same registry either way.
+        self._open_op = open_op
+        self._open_extra = open_extra or {}
+        self._open_body: dict = {}
+        # Optional shard restriction (the distributed coordinator's
+        # {"scheme": ..., "cell": ...} wire form) and distributed trace
+        # context (the coordinator's trace id plus its {"id", "shard",
+        # "attempt"} span descriptor); stamped on every cursor open and
+        # count so the server executes under the adopted context.  With
+        # tracing on and no coordinator id, a client-minted id rides
+        # instead, so the server's span tree correlates with client logs.
+        self._shard = shard
+        if trace_id is None and options.trace:
+            trace_id = new_trace_id()
+        self._trace_id = trace_id
+        self._span = span
+        self._server_stats: dict = {}
+        self._cursor_id: Optional[int] = None  # opened at first fetch
+        self._generation: Optional[int] = None  # connection it lives on
         self._variables = tuple(Variable(name) for name in meta["columns"])
         self._meta = meta
         self._buffer: Deque[Row] = deque()
         self._done = False
         self._closed = False
-        self._gone: Optional[str] = None  # why the server stream is lost
-        self._delivered = 0
+        self._gone: Optional[str] = None
         self._count: Optional[int] = None
-        self._final: dict = {}
-        self._open_body: dict = {}
+        self._delivered = 0
         self._seconds = 0.0
-        # With tracing on, a client-chosen id rides every wire request so
-        # the server-side span tree correlates with client logs.
-        self._trace_id = new_trace_id() if options.trace else None
+        # A server cursor allows one fetch in flight (a stream has one
+        # position); concurrent fetchmany calls on this result set
+        # serialize here instead of tripping the server's busy-guard.
+        self._fetch_lock = asyncio.Lock()
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
     @property
     def query_text(self) -> str:
         return self._text
+
+    @property
+    def columns(self) -> Tuple[str, ...]:
+        return tuple(v.name for v in self._variables)
 
     @property
     def algorithm(self) -> str:
@@ -658,6 +459,7 @@ class RemoteResultSet(RowCursor):
     @property
     def stats(self) -> ResultStats:
         """What this result did, merged from plan metadata and fetches."""
+        final = self._server_stats
         return ResultStats(
             query=self._text,
             algorithm=self._meta["algorithm"],
@@ -667,834 +469,59 @@ class RemoteResultSet(RowCursor):
             partitioning=self._meta.get("partitioning", "serial"),
             shards=self._meta["shards"],
             plan_cached=self._meta.get("plan_cached", False),
-            result_cached=self._final.get("result_cached", False),
+            result_cached=final.get("result_cached", False),
             plan_seconds=0.0,
             execution_seconds=self._seconds,
             rows_delivered=self._delivered,
             complete=self.complete,
             limit=self._options.limit,
             total=self._count,
-            trace=self._final.get("trace"),
+            trace=final.get("trace"),
         )
 
-    # ------------------------------------------------------------------
-    # Paging
-    # ------------------------------------------------------------------
     def _page_size(self) -> int:
         """Rows per iteration-driven fetch: per-query option, else the
         session default."""
         return self._options.fetch_size or self._session.fetch_size
 
-    def _ensure_cursor(self) -> None:
-        """Open the server-side cursor on first use, pinning a connection.
+    def _context(self) -> dict:
+        """The shard and trace fields every cursor open and count carry."""
+        fields = {"shard": self._shard, "trace_id": self._trace_id,
+                  "span": self._span}
+        return {key: value for key, value in fields.items()
+                if value is not None}
+
+    async def _ensure_cursor(self) -> None:
+        """Open the server-side cursor on first use.
 
         Under ``route="peer"`` the open travels as ``cluster_cursor``
         with ``hop=0``: the server gathers from its peers and registers
         the *merged* stream in its normal cursor registry, so everything
-        after the open (fetch paging, close, drain accounting) is
-        byte-for-byte the single-server path.
+        after the open (fetch paging, close, drain accounting) is the
+        single-server path.
         """
-        if self._cursor_id is None:
-            if self._prepared_key is not None:
-                self._conn, self._cursor_id = \
-                    self._session._open_prepared_cursor(
-                        self._prepared_key, self._text,
-                        _options_payload(self._options),
-                        trace_id=self._trace_id,
-                    )
-            else:
-                if self._options.route == "peer":
-                    op, extra = "cluster_cursor", {"hop": 0}
-                else:
-                    op, extra = "cursor", None
-                self._conn, body = self._session._open_cursor(
-                    self._text, _options_payload(self._options),
-                    trace_id=self._trace_id, op=op, extra=extra,
-                )
-                self._cursor_id = body["cursor"]
-                self._open_body = body
-
-    def _release_conn(self) -> None:
-        """Hand the pinned connection back to the pool (if still held)."""
-        if self._conn is not None:
-            self._session._pool.checkin(self._conn)
-            self._conn = None
-
-    def _fetch(self, size: int) -> List[Row]:
-        """One wire ``fetch`` of up to ``size`` rows; updates done state."""
-        if self._closed:
-            raise CursorError("this remote cursor was closed")
-        if self._gone is not None:
-            raise CursorError(self._gone)
-        started = time.perf_counter()
-        self._ensure_cursor()
-        params = {"cursor": self._cursor_id, "size": size}
-        if self._session.wire_encoding == "binary":
-            # Binary frames are self-describing and per-request: a server
-            # that never advertised binary support is never asked.
-            params["encoding"] = "binary"
-        try:
-            response = self._conn.exchange("fetch", **params)
-        except (NetworkError, ProtocolError) as error:
-            # The connection carrying the cursor is gone, and with it the
-            # server-side stream.  A fetch is NOT idempotent — replaying
-            # it on a new connection could skip or repeat rows — so this
-            # is a hard stop, not a retry.
-            self._session._pool.discard(self._conn)
-            self._conn = None
-            self._gone = (
-                f"the server-side cursor for this result set is gone "
-                f"({error}); a cursor lives on one server connection and "
-                f"a fetch is never retried — re-run the query for a "
-                f"fresh result set"
-            )
-            raise CursorError(self._gone) from error
-        try:
-            body = _result(response)
-        except AdmissionError:
-            # Transient overload: admission control rejected the fetch
-            # *before* it reached the stream, so the cursor is untouched
-            # server-side.  Keep the pin — the caller may simply fetch
-            # again when the queue drains.
-            raise
-        except ReproError:
-            # A server-reported fetch failure (cursor expired, execution
-            # error, timeout mid-stream): the connection is healthy but
-            # the server has dropped the cursor.  Release the pin and
-            # re-raise the original error class.
-            self._gone = (
-                "the server-side cursor for this result set failed and "
-                "was dropped by the server; re-run the query for a "
-                "fresh result set"
-            )
-            self._release_conn()
-            raise
-        self._seconds += time.perf_counter() - started
-        rows = [tuple(row) for row in body["rows"]]
-        if body["done"]:
-            self._done = True
-            self._final = body.get("stats") or {}
-            if self._final.get("total") is not None:
-                self._count = self._final["total"]
-            self._release_conn()
-        return rows
-
-    def _check_open(self) -> None:
-        """A closed-but-undrained cursor must not read like a clean end."""
-        if self._closed and not self._done:
-            raise CursorError(
-                "this remote cursor was closed before it was drained; "
-                "re-run the query for a fresh result set"
-            )
-
-    def _pull(self) -> Optional[Row]:
-        if not self._buffer:
-            self._check_open()
-            if self._done:
-                return None
-            self._buffer.extend(self._fetch(self._page_size()))
-            if not self._buffer:
-                return None
-        self._delivered += 1
-        return self._buffer.popleft()
-
-    def fetchmany(self, size: int = 1) -> List[Row]:
-        """Up to ``size`` more rows off the shared forward-only cursor.
-
-        Rows already buffered by iteration are served first.  The
-        remainder is requested from the server, which clamps one wire
-        ``fetch`` to its ``MAX_FETCH_SIZE`` (65536 by default) — so a
-        request for more than the clamp transparently loops over several
-        round trips, each advancing the server's executor by at most one
-        clamp's worth of rows.  A short return therefore only ever means
-        end-of-answer, exactly like a local result set; a request within
-        the clamp costs a single round trip.
-        """
-        out: List[Row] = []
-        while self._buffer and len(out) < size:
-            out.append(self._buffer.popleft())
-        try:
-            if len(out) < size:
-                self._check_open()
-            while len(out) < size and not self._done:
-                page = self._fetch(size - len(out))
-                if not page:
-                    break
-                out.extend(page)
-        except BaseException:
-            # A failed wire fetch must not lose rows already in hand
-            # (buffered by iteration or pulled by an earlier loop page):
-            # push them back so a retried call — e.g. after a transient
-            # AdmissionError — resumes at exactly the same position.
-            self._buffer.extendleft(reversed(out))
-            raise
-        self._delivered += len(out)
-        return out
-
-    def fetchall(self) -> List[Row]:
-        """Every remaining row; a failed wire fetch keeps rows in hand
-        (they return to the buffer for the retry) instead of losing them."""
-        out: List[Row] = list(self._buffer)
-        self._buffer.clear()
-        try:
-            self._check_open()
-            while not self._done:
-                out.extend(self._fetch(self._page_size()))
-        except BaseException:
-            self._buffer.extendleft(reversed(out))
-            raise
-        self._delivered += len(out)
-        return out
-
-    # ------------------------------------------------------------------
-    # Whole-answer paths
-    # ------------------------------------------------------------------
-    def count(self) -> int:
-        """The number of answers, via the server's count path.
-
-        Like a local result set's :meth:`~repro.api.result.ResultSet.count`,
-        this is a side execution — the cursor position is untouched and
-        counting-optimized algorithms / the server's result cache apply.
-        It travels over the pool (not the pinned cursor connection), so
-        it is retried like any idempotent request.
-        """
-        if self._count is not None:
-            return self._count
-        started = time.perf_counter()
+        if self._cursor_id is not None:
+            return
+        payload = _options_payload(self._options)
         if self._prepared_key is not None:
-            extra = ({"trace_id": self._trace_id}
-                     if self._trace_id is not None else None)
-            response = self._session._prepared_request(
-                "count", self._prepared_key, self._text,
-                _options_payload(self._options), extra,
+            body, self._generation = await self._session._prepared_send(
+                "cursor", self._prepared_key, self._text, payload,
+                self._context(),
             )
         else:
-            op = ("cluster_count" if self._options.route == "peer"
-                  else "count")
-            params = {"query": self._text,
-                      "options": _options_payload(self._options)}
-            if op == "cluster_count":
-                params["hop"] = 0
-            if self._trace_id is not None:
-                params["trace_id"] = self._trace_id
-            response = self._session._request(op, **params)
-        self._seconds += time.perf_counter() - started
-        self._count = response["count"]
-        if response.get("result_cached"):
-            self._final.setdefault("result_cached", True)
-        if response.get("trace") is not None:
-            self._final["trace"] = response["trace"]
-        return self._count
-
-    @property
-    def open_body(self) -> dict:
-        """The raw cursor-open response body (peer opens carry gather
-        summary scalars: shard map, hedges, coordinator)."""
-        return self._open_body
-
-    def close(self) -> None:
-        """Release the server-side cursor early; idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        self._buffer.clear()
-        if self._conn is not None and self._cursor_id is not None \
-                and not self._done:
-            try:
-                _result(self._conn.exchange("close", cursor=self._cursor_id))
-            except (NetworkError, CursorError):
-                pass  # connection gone or cursor already expired
-        # checkin drops a connection the failed exchange closed.
-        self._release_conn()
-
-
-class RemotePreparedHandle:
-    """A server-side prepared statement with the local handle surface.
-
-    Returned by :meth:`RemoteSession.prepare`.  ``run`` builds a result
-    set whose cursor and count travel by handle — the query text is
-    never resent and never reparsed.  Handles are per-connection server
-    state under the hood; the session re-prepares transparently on
-    whichever pooled connection carries each execute (the server dedups,
-    so this costs one extra round trip per connection, once), which is
-    also what revives a handle the server expired or lost to a restart.
-    """
-
-    def __init__(self, session: "RemoteSession", text: str,
-                 options: QueryOptions, meta: dict,
-                 key: Tuple[str, str]) -> None:
-        self._session = session
-        self._text = text
-        self._options = options
-        self._meta = meta
-        self._key = key
-        self._closed = False
-
-    @property
-    def text(self) -> str:
-        return self._text
-
-    @property
-    def algorithm(self) -> str:
-        return self._meta["algorithm"]
-
-    def run(self, options: Optional[QueryOptions] = None,
-            **overrides) -> "RemoteResultSet":
-        """Execute the prepared shape; nothing touches the wire until
-        the result set is consumed (the plan metadata is already in
-        hand from ``prepare``)."""
-        if self._closed:
-            raise PreparedError("this prepared handle is closed")
-        opts = self._session.options(
-            options if options is not None else self._options, **overrides
-        )
-        return RemoteResultSet(self._session, self._text, opts,
-                               dict(self._meta), prepared_key=self._key)
-
-    def explain(self) -> "RemoteExplain":
-        return self._session.explain(self._text, self._options)
-
-    def close(self) -> None:
-        """Deallocate (best effort) and refuse further runs; idempotent.
-
-        Deallocation is sent on one pooled connection; entries on other
-        connections fall to the server's idle TTL.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            conn = self._session._pool.checkout()
-        except (NetworkError, ProtocolError):
-            return
-        try:
-            handle = conn.prepared.pop(self._key, None)
-            if handle is not None:
-                _result(conn.exchange("deallocate", handle=handle))
-        except (NetworkError, ProtocolError, ReproError):
-            pass
-        finally:
-            self._session._pool.checkin(conn)
-
-    def __enter__(self) -> "RemotePreparedHandle":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        state = "closed" if self._closed else "open"
-        return (f"RemotePreparedHandle(text={self._text!r}, "
-                f"algorithm={self.algorithm!r}, {state})")
-
-
-class RemoteSession:
-    """A connected remote client with the local ``Session`` surface.
-
-    Parameters
-    ----------
-    url:
-        ``repro://host[:port]`` (bracket IPv6 literals: ``repro://[::1]``).
-    options:
-        Session-default :class:`QueryOptions`; per-call overrides apply
-        exactly as on a local session.
-    fetch_size:
-        Page size for iteration-driven fetches (explicit ``fetchmany(k)``
-        always fetches exactly ``k``).
-    connect_timeout:
-        Seconds to wait for a TCP connection — and for a free pooled
-        connection when all are checked out (queries themselves are not
-        bounded client-side; use ``QueryOptions.timeout`` for that).
-    pool_size:
-        Upper bound on concurrently open connections.  Worker threads
-        sharing one session each check out their own; every undrained
-        result set pins one for its server-side cursor.
-    retries:
-        How many times an idempotent request (:data:`IDEMPOTENT_OPS`) is
-        replayed on a fresh connection after a transport failure, with
-        exponential backoff starting at ``retry_backoff`` seconds.
-        Cursor fetches are never retried.
-    wire_encoding:
-        ``"binary"`` (the default) advertises the columnar binary fetch
-        encoding in the handshake and uses it when the server agrees;
-        ``"json"`` skips the advertisement entirely — indistinguishable,
-        on the wire, from a protocol-v1 client.  The environment
-        variable :data:`WIRE_ENCODING_ENV` overrides the default when
-        the argument is ``None``.  ``self.wire_encoding`` afterwards
-        holds what was actually negotiated.
-    """
-
-    def __init__(self, url: str, *, options: Optional[QueryOptions] = None,
-                 fetch_size: int = DEFAULT_FETCH_SIZE,
-                 connect_timeout: float = 10.0,
-                 pool_size: int = DEFAULT_POOL_SIZE,
-                 retries: int = DEFAULT_RETRIES,
-                 retry_backoff: float = DEFAULT_RETRY_BACKOFF,
-                 wire_encoding: Optional[str] = None) -> None:
-        _validate_resilience_knobs(pool_size, retries, retry_backoff)
-        self.url = url
-        self.defaults = options if options is not None else QueryOptions()
-        self.fetch_size = max(1, int(fetch_size))
-        self.retries = int(retries)
-        self.retry_backoff = float(retry_backoff)
-        self._wire_encoding = _resolve_wire_encoding(wire_encoding)
-        self.wire_encoding = "json"  # until the handshake says otherwise
-        self._pool = ConnectionPool(url, size=pool_size,
-                                    connect_timeout=connect_timeout)
-        self._retries_attempted = 0
-        self._closed = False
-        try:
-            hello_params = {}
-            if self._wire_encoding == "binary":
-                hello_params["encodings"] = list(protocol.WIRE_ENCODINGS)
-            self.server_info = self._request("hello", **hello_params)
-            if self._wire_encoding == "binary" \
-                    and self.server_info.get("encoding") == "binary":
-                self.wire_encoding = "binary"
-        except BaseException:
-            # A failed handshake (e.g. the endpoint is not a repro
-            # server) must not leak sockets out of a constructor the
-            # caller never got a handle from.
-            self._closed = True
-            self._pool.close()
-            raise
-
-    # ------------------------------------------------------------------
-    # Wire plumbing
-    # ------------------------------------------------------------------
-    def _attempts(self, op: str) -> int:
-        return 1 + (self.retries if op in IDEMPOTENT_OPS else 0)
-
-    def _retry_exchange(self, op: str, params: dict,
-                        attempts: int) -> Tuple[_WireConnection, dict]:
-        """Checkout + exchange with bounded-backoff retry; the one retry
-        loop every request path shares.
-
-        Transport failures (dead socket, EOF, garbage frame) discard the
-        connection and replay on a fresh one — what rides out a server
-        restart.  :class:`PoolExhausted` is not retried (nothing frees a
-        connection while the retry sleeps).  Returns the raw response
-        *and* the connection it arrived on; the caller owns checking the
-        connection back in.
-        """
-        if self._closed:
-            raise NetworkError("this remote session is closed")
-        delay = self.retry_backoff
-        # The handshake is the one op with a client-side wait bound: a
-        # TCP endpoint that accepts but never answers must not hang us.
-        io_timeout = self._pool.connect_timeout if op == "hello" else None
-        for attempt in range(attempts):
-            try:
-                conn = self._pool.checkout()
-                try:
-                    response = conn.exchange(op, _io_timeout=io_timeout,
-                                             **params)
-                except (NetworkError, ProtocolError):
-                    self._pool.discard(conn)
-                    raise
-            except PoolExhausted:
-                raise
-            except (NetworkError, ProtocolError):
-                if attempt + 1 >= attempts:
-                    raise
-                self._retries_attempted += 1
-                global_registry().counter("repro_client_retries_total").inc()
-                time.sleep(delay)
-                delay = min(delay * 2, _MAX_RETRY_BACKOFF)
-                continue
-            return conn, response
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def _request(self, op: str, **params) -> dict:
-        """One request over the pool, with retry for idempotent ops.
-
-        Server-reported errors are *not* retried: they re-raise as their
-        original exception classes and the connection, which is still
-        healthy, goes back to the pool.
-        """
-        conn, response = self._retry_exchange(op, params,
-                                              self._attempts(op))
-        try:
-            return _result(response)
-        finally:
-            self._pool.checkin(conn)
-
-    def _open_cursor(self, text: str, payload: dict,
-                     trace_id: Optional[str] = None,
-                     op: str = "cursor",
-                     extra: Optional[dict] = None
-                     ) -> Tuple[_WireConnection, dict]:
-        """Open a server-side cursor, returning its pinned connection
-        and the full open-response body (``body["cursor"]`` is the id).
-
-        Opening is retried like an idempotent op: a cursor that was
-        opened but whose open *response* was lost died with its
-        connection (registries are per-connection), so replaying on a
-        fresh connection leaks nothing.  ``op`` selects the open verb
-        (``cluster_cursor`` for peer-routed opens) and ``extra`` rides
-        extra frame fields (``hop``, ``peers``).
-        """
-        params = {"query": text, "options": payload}
-        if trace_id is not None:
-            params["trace_id"] = trace_id
-        if extra:
-            params.update(extra)
-        conn, response = self._retry_exchange(
-            op, params, 1 + self.retries,
-        )
-        try:
-            body = _result(response)
-        except ReproError:
-            self._pool.checkin(conn)
-            raise
-        return conn, body
-
-    # ------------------------------------------------------------------
-    # Prepared-statement plumbing
-    # ------------------------------------------------------------------
-    def _ensure_prepared(self, conn: _WireConnection,
-                         key: Tuple[str, str], text: str,
-                         payload: dict) -> int:
-        """The handle for ``key`` on *this* connection, preparing on
-        first use.  Handles are per-connection server state; the server
-        dedups, so re-preparing an already-known shape is one cheap
-        round trip, not a recompile."""
-        handle = conn.prepared.get(key)
-        if handle is None:
-            body = _result(conn.exchange("prepare", query=text,
-                                         options=payload))
-            handle = body["handle"]
-            conn.prepared[key] = handle
-        return handle
-
-    def _prepared_once(self, conn: _WireConnection, op: str,
-                       key: Tuple[str, str], text: str, payload: dict,
-                       extra: Optional[dict]) -> dict:
-        handle = self._ensure_prepared(conn, key, text, payload)
-        params = {"handle": handle, "options": payload}
-        if extra:
-            params.update(extra)
-        return _result(conn.exchange(op, **params))
-
-    def _prepared_exchange(self, op: str, key: Tuple[str, str], text: str,
-                           payload: dict, extra: Optional[dict] = None
-                           ) -> Tuple[_WireConnection, dict]:
-        """Execute-by-handle with the standard retry loop plus one
-        transparent re-prepare.
-
-        A :class:`PreparedError` means *this connection's* handle is
-        gone (idle-expired, deallocated elsewhere, or the server
-        restarted): drop the stale mapping and re-prepare once on the
-        same connection.  Transport failures discard the connection as
-        usual — the retry lands on a fresh connection whose own
-        ``_ensure_prepared`` re-prepares there.
-        """
-        if self._closed:
-            raise NetworkError("this remote session is closed")
-        attempts = 1 + self.retries
-        delay = self.retry_backoff
-        for attempt in range(attempts):
-            try:
-                conn = self._pool.checkout()
-                try:
-                    try:
-                        body = self._prepared_once(conn, op, key, text,
-                                                   payload, extra)
-                    except PreparedError:
-                        conn.prepared.pop(key, None)
-                        body = self._prepared_once(conn, op, key, text,
-                                                   payload, extra)
-                except (NetworkError, ProtocolError):
-                    self._pool.discard(conn)
-                    raise
-                except ReproError:
-                    self._pool.checkin(conn)
-                    raise
-            except PoolExhausted:
-                raise
-            except (NetworkError, ProtocolError):
-                if attempt + 1 >= attempts:
-                    raise
-                self._retries_attempted += 1
-                global_registry().counter("repro_client_retries_total").inc()
-                time.sleep(delay)
-                delay = min(delay * 2, _MAX_RETRY_BACKOFF)
-                continue
-            return conn, body
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def _open_prepared_cursor(self, key: Tuple[str, str], text: str,
-                              payload: dict,
-                              trace_id: Optional[str] = None
-                              ) -> Tuple[_WireConnection, int]:
-        """Open a cursor by prepared handle, returning its pinned
-        connection.  Retry-safe for the same reason as ``_open_cursor``:
-        a cursor whose open response was lost died with its connection.
-        """
-        extra = {"trace_id": trace_id} if trace_id is not None else None
-        conn, body = self._prepared_exchange("cursor", key, text,
-                                             payload, extra)
-        return conn, body["cursor"]
-
-    def _prepared_request(self, op: str, key: Tuple[str, str], text: str,
-                          payload: dict,
-                          extra: Optional[dict] = None) -> dict:
-        conn, body = self._prepared_exchange(op, key, text, payload, extra)
-        self._pool.checkin(conn)
-        return body
-
-    # ------------------------------------------------------------------
-    # The Session surface
-    # ------------------------------------------------------------------
-    def options(self, options: Optional[QueryOptions] = None,
-                **overrides) -> QueryOptions:
-        """Resolve per-call options against the session defaults."""
-        return QueryOptions.resolve(options, overrides,
-                                    defaults=self.defaults)
-
-    def run(self, query, options: Optional[QueryOptions] = None,
-            **overrides) -> RemoteResultSet:
-        """Open a server-side cursor for ``query``; nothing executes yet.
-
-        Options validate client-side (the same
-        :class:`~repro.errors.OptionsError` boundary as a local session)
-        before anything touches the wire.  With ``route="peer"`` the
-        plan probe travels as ``cluster_run`` (``hop=0``): the server
-        answers with its peer-fleet plan (shards, partitioning) and
-        later consumption gathers server-side.
-        """
-        opts = self.options(options, **overrides)
-        text = str(query)
-        if opts.route == "peer":
-            meta = self._request("cluster_run", query=text,
-                                 options=_options_payload(opts), hop=0)
-        else:
-            meta = self._request("run", query=text,
-                                 options=_options_payload(opts))
-        return RemoteResultSet(self, text, opts, meta)
-
-    def prepare(self, query, options: Optional[QueryOptions] = None,
-                **overrides) -> RemotePreparedHandle:
-        """Register ``query`` server-side and return a reusable handle.
-
-        Preparing pays the parse/decompose/plan cost once; every
-        subsequent :meth:`RemotePreparedHandle.run` sends only the
-        integer handle — the server never reparses, and the client
-        never resends the text.  Preparing the same text twice dedups
-        to the same server-side statement.
-        """
-        opts = self.options(options, **overrides)
-        text = str(query)
-        key = (text, opts.algorithm)
-        conn, response = self._retry_exchange(
-            "prepare", {"query": text, "options": _options_payload(opts)},
-            self._attempts("prepare"))
-        try:
-            meta = _result(response)
-            conn.prepared[key] = meta["handle"]
-        finally:
-            self._pool.checkin(conn)
-        return RemotePreparedHandle(self, text, opts, meta, key)
-
-    def explain(self, query, options: Optional[QueryOptions] = None,
-                **overrides) -> RemoteExplain:
-        """The server's structured plan report for ``query``."""
-        opts = self.options(options, **overrides)
-        response = self._request("explain", query=str(query),
-                                 options=_options_payload(opts))
-        return RemoteExplain(response["report"], response["rendered"])
-
-    def stats(self) -> dict:
-        """Connection, cursor, and service counters from the server.
-
-        ``connection`` and ``cursors`` describe whichever pooled
-        connection carried this request; ``service`` is global.
-        ``client`` is local: this session's resilience accounting —
-        retries attempted, stale connections replaced by the pool's
-        health probe, connections dialled.
-        """
-        response = self._request("stats")
-        stats = {key: response[key]
-                 for key in ("connection", "cursors", "service")}
-        if "prepared" in response:  # absent from protocol-v1 servers
-            stats["prepared"] = response["prepared"]
-        stats["client"] = {
-            "retries": self._retries_attempted,
-            "health_replaced": self._pool.health_replaced,
-            "dialed": self._pool.dialed,
-            "checkouts": self._pool.checkouts,
-        }
-        return stats
-
-    def metrics(self) -> str:
-        """The server's metrics registry in Prometheus text format."""
-        return self._request("metrics")["metrics"]
-
-    def events(self, limit: Optional[int] = None) -> List[dict]:
-        """The server's flight-recorder ring, oldest first."""
-        params = {} if limit is None else {"limit": int(limit)}
-        return self._request("events", **params)["events"]
-
-    def close(self) -> None:
-        """Say goodbye on idle connections and close the pool; idempotent.
-
-        Connections pinned by undrained result sets are closed too (no
-        socket outlives the session); their cursors die with them.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        for conn in self._pool.pop_all_idle():
-            try:
-                conn.exchange("goodbye")
-            except (NetworkError, ProtocolError):
-                pass
-            conn.close()
-        self._pool.close()
-
-    def __enter__(self) -> "RemoteSession":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        state = "closed" if self._closed else "open"
-        return (f"RemoteSession({self.url!r}, {state}, "
-                f"pool={self._pool.size})")
-
-
-def connect(url: str, *,
-            algorithm: str = "auto",
-            parallel: Optional[int] = None,
-            partition_mode: str = "auto",
-            timeout: Optional[float] = None,
-            use_cache: bool = True,
-            limit: Optional[int] = None,
-            trace: bool = False,
-            route: Optional[str] = None,
-            fetch_size: int = DEFAULT_FETCH_SIZE,
-            connect_timeout: float = 10.0,
-            pool_size: int = DEFAULT_POOL_SIZE,
-            retries: int = DEFAULT_RETRIES,
-            retry_backoff: float = DEFAULT_RETRY_BACKOFF,
-            wire_encoding: Optional[str] = None) -> RemoteSession:
-    """Open a :class:`RemoteSession`; keyword args become its defaults.
-
-    ``route="peer"`` makes every query travel as a peer-coordinated
-    cluster op: the server sub-shards across its ``--peers`` fleet and
-    merges server-side, so only the merged answer crosses this hop.
-    """
-    options = QueryOptions(
-        algorithm=algorithm, parallel=parallel,
-        partition_mode=partition_mode, timeout=timeout,
-        use_cache=use_cache, limit=limit, trace=trace, route=route,
-    )
-    return RemoteSession(url, options=options, fetch_size=fetch_size,
-                         connect_timeout=connect_timeout,
-                         pool_size=pool_size, retries=retries,
-                         retry_backoff=retry_backoff,
-                         wire_encoding=wire_encoding)
-
-
-# ----------------------------------------------------------------------
-# Async variant
-# ----------------------------------------------------------------------
-class AsyncRemoteResultSet:
-    """The awaitable twin of :class:`RemoteResultSet`.
-
-    Supports ``async for`` (bindings), ``await fetchmany/fetchall/count``,
-    and ``await close``.  Shares one forward-only position.  The cursor
-    lives on the session's single multiplexed connection; if that
-    connection is re-established (a reconnect after a server restart),
-    the cursor did not survive and fetches raise :class:`CursorError`.
-    """
-
-    def __init__(self, session: "AsyncRemoteSession", query_text: str,
-                 options: QueryOptions, meta: dict,
-                 prepared_key: Optional[Tuple[str, str]] = None,
-                 shard: Optional[dict] = None,
-                 trace_id: Optional[str] = None,
-                 span: Optional[dict] = None,
-                 open_op: str = "cursor",
-                 open_extra: Optional[dict] = None) -> None:
-        import asyncio
-
-        self._session = session
-        self._text = query_text
-        self._options = options
-        self._prepared_key = prepared_key
-        # Which verb opens the cursor ("cluster_cursor" for peer-routed
-        # or peer-dispatched opens) and extra frame fields riding the
-        # open ("hop", "peers").  Fetching afterwards is op-agnostic:
-        # a cursor id names the same registry either way.
-        self._open_op = open_op
-        self._open_extra = open_extra
-        self._open_body: dict = {}
-        # Optional shard restriction (the distributed coordinator's
-        # {"scheme": ..., "cell": ...} wire form); rides on every cursor
-        # open and count for this result set.
-        self._shard = shard
-        # Optional distributed trace context: the coordinator's trace id
-        # plus its {"id", "shard", "attempt"} span descriptor; stamped on
-        # every cursor open and count so the server executes under the
-        # adopted context and its span subtree correlates back.
-        self._trace_id = trace_id
-        self._span = span
-        self._server_stats: dict = {}
-        self._cursor_id: Optional[int] = None  # opened at first fetch
-        self._generation: Optional[int] = None  # connection it lives on
-        self._variables = tuple(Variable(name) for name in meta["columns"])
-        self._meta = meta
-        self._buffer: Deque[Row] = deque()
-        self._done = False
-        self._closed = False
-        self._gone: Optional[str] = None
-        self._count: Optional[int] = None
-        # A server cursor allows one fetch in flight (a stream has one
-        # position); concurrent fetchmany calls on this result set
-        # serialize here instead of tripping the server's busy-guard.
-        self._fetch_lock = asyncio.Lock()
-
-    @property
-    def columns(self) -> Tuple[str, ...]:
-        return tuple(v.name for v in self._variables)
-
-    @property
-    def algorithm(self) -> str:
-        return self._meta["algorithm"]
-
-    @property
-    def complete(self) -> bool:
-        return self._done and not self._buffer
-
-    def _page_size(self) -> int:
-        return self._options.fetch_size or self._session.fetch_size
-
-    async def _ensure_cursor(self) -> None:
-        if self._cursor_id is None:
-            if self._prepared_key is not None:
-                body, generation = await self._session._prepared_send(
-                    "cursor", self._prepared_key, self._text,
-                    _options_payload(self._options)
-                )
-                self._cursor_id, self._generation = body["cursor"], generation
-            else:
-                body, self._generation = \
-                    await self._session._open_cursor(
-                        self._text, _options_payload(self._options),
-                        shard=self._shard, trace_id=self._trace_id,
-                        span=self._span, op=self._open_op,
-                        extra=self._open_extra,
-                    )
-                self._cursor_id = body["cursor"]
-                self._open_body = body
+            body, self._generation = await self._session._open_cursor(
+                self._open_op, self._text, payload,
+                {**self._context(), **self._open_extra},
+            )
+        self._cursor_id = body["cursor"]
+        self._open_body = body
 
     async def _fetch(self, size: int) -> List[Row]:
         async with self._fetch_lock:
             return await self._fetch_page(size)
 
     async def _fetch_page(self, size: int) -> List[Row]:
+        """One wire ``fetch`` of up to ``size`` rows; updates done state."""
         if self._closed:
             raise CursorError("this remote cursor was closed")
         if self._gone is not None:
@@ -1503,6 +530,7 @@ class AsyncRemoteResultSet:
             # A concurrent fetch drained the stream while this one
             # waited on the lock.
             return []
+        started = time.perf_counter()
         await self._ensure_cursor()
         if self._generation != self._session._generation:
             self._gone = (
@@ -1514,10 +542,16 @@ class AsyncRemoteResultSet:
             raise CursorError(self._gone)
         params = {"cursor": self._cursor_id, "size": size}
         if self._session.wire_encoding == "binary":
+            # Binary frames are self-describing and per-request: a server
+            # that never advertised binary support is never asked.
             params["encoding"] = "binary"
         try:
             response = await self._session._send("fetch", params)
         except (NetworkError, ProtocolError) as error:
+            # The connection carrying the cursor is gone, and with it the
+            # server-side stream.  A fetch is NOT idempotent — replaying
+            # it on a new connection could skip or repeat rows — so this
+            # is a hard stop, not a retry.
             self._gone = (
                 f"the server-side cursor for this result set is gone "
                 f"({error}); a fetch is never retried — re-run the query "
@@ -1531,12 +565,15 @@ class AsyncRemoteResultSet:
             # cursor is untouched — fetch again when the queue drains.
             raise
         except ReproError:
+            # A server-reported fetch failure (cursor expired, execution
+            # error, timeout mid-stream): the server dropped the cursor.
             self._gone = (
                 "the server-side cursor for this result set failed and "
                 "was dropped by the server; re-run the query for a "
                 "fresh result set"
             )
             raise
+        self._seconds += time.perf_counter() - started
         rows = [tuple(row) for row in body["rows"]]
         if body["done"]:
             self._done = True
@@ -1546,29 +583,47 @@ class AsyncRemoteResultSet:
                 self._count = stats["total"]
         return rows
 
-    def __aiter__(self):
-        return self
-
     def _check_open(self) -> None:
+        """A closed-but-undrained cursor must not read like a clean end."""
         if self._closed and not self._done:
             raise CursorError(
                 "this remote cursor was closed before it was drained; "
                 "re-run the query for a fresh result set"
             )
 
-    async def __anext__(self):
+    async def _refill(self) -> bool:
+        """Page rows into an empty buffer; False at the end of the answer."""
         if not self._buffer:
             self._check_open()
             if self._done:
-                raise StopAsyncIteration
+                return False
             self._buffer.extend(await self._fetch(self._page_size()))
-            if not self._buffer:
-                raise StopAsyncIteration
-        return dict(zip(self._variables, self._buffer.popleft()))
+        return bool(self._buffer)
+
+    def _pop(self) -> Row:
+        """The next buffered row, counted as delivered."""
+        self._delivered += 1
+        return self._buffer.popleft()
+
+    def __aiter__(self):
+        return self
+
+    async def __anext__(self):
+        if not await self._refill():
+            raise StopAsyncIteration
+        return dict(zip(self._variables, self._pop()))
 
     async def fetchmany(self, size: int = 1) -> List[Row]:
-        """Up to ``size`` more rows; loops past the server's per-fetch
-        clamp, so a short return only ever means end-of-answer."""
+        """Up to ``size`` more rows off the shared forward-only cursor.
+
+        Rows already buffered by iteration are served first.  The
+        remainder is requested from the server, which clamps one wire
+        ``fetch`` to its ``MAX_FETCH_SIZE`` (65536 by default) — so a
+        request for more than the clamp transparently loops over several
+        round trips.  A short return therefore only ever means
+        end-of-answer, exactly like a local result set; a request within
+        the clamp costs a single round trip.
+        """
         out: List[Row] = []
         while self._buffer and len(out) < size:
             out.append(self._buffer.popleft())
@@ -1581,13 +636,18 @@ class AsyncRemoteResultSet:
                     break
                 out.extend(page)
         except BaseException:
-            # Rows already in hand go back to the buffer: a retried call
-            # (e.g. after a transient AdmissionError) must not skip them.
+            # A failed wire fetch must not lose rows already in hand
+            # (buffered by iteration or pulled by an earlier loop page):
+            # push them back so a retried call — e.g. after a transient
+            # AdmissionError — resumes at exactly the same position.
             self._buffer.extendleft(reversed(out))
             raise
+        self._delivered += len(out)
         return out
 
     async def fetchall(self) -> List[Row]:
+        """Every remaining row; a failed wire fetch keeps rows in hand
+        (they return to the buffer for the retry) instead of losing them."""
         out: List[Row] = list(self._buffer)
         self._buffer.clear()
         try:
@@ -1597,33 +657,40 @@ class AsyncRemoteResultSet:
         except BaseException:
             self._buffer.extendleft(reversed(out))
             raise
+        self._delivered += len(out)
         return out
 
     async def count(self) -> int:
+        """The number of answers, via the server's count path.
+
+        Like a local result set's :meth:`~repro.api.result.ResultSet.count`,
+        this is a side execution — the cursor position is untouched and
+        counting-optimized algorithms / the server's result cache apply.
+        It is retried like any idempotent request.
+        """
         if self._count is not None:
             return self._count
+        started = time.perf_counter()
+        payload = _options_payload(self._options)
         if self._prepared_key is not None:
             body, _ = await self._session._prepared_send(
-                "count", self._prepared_key, self._text,
-                _options_payload(self._options)
+                "count", self._prepared_key, self._text, payload,
+                self._context(),
             )
         else:
-            op = ("cluster_count" if self._options.route == "peer"
-                  else "count")
-            params = {"query": self._text,
-                      "options": _options_payload(self._options)}
-            if op == "cluster_count":
-                params["hop"] = 0
-            if self._shard is not None:
-                params["shard"] = self._shard
-            if self._trace_id is not None:
-                params["trace_id"] = self._trace_id
-            if self._span is not None:
-                params["span"] = self._span
+            params = {"query": self._text, "options": payload,
+                      **self._context()}
+            op = "count"
+            if self._options.route == "peer":
+                op, params["hop"] = "cluster_count", 0
             body = await self._session._request(op, **params)
+        self._seconds += time.perf_counter() - started
+        final = dict(self._server_stats)
+        if body.get("result_cached"):
+            final.setdefault("result_cached", True)
         if body.get("trace") is not None:
-            self._server_stats = dict(self._server_stats,
-                                      trace=body["trace"])
+            final["trace"] = body["trace"]
+        self._server_stats = final
         self._count = body["count"]
         return self._count
 
@@ -1645,6 +712,7 @@ class AsyncRemoteResultSet:
         return trace if isinstance(trace, dict) else None
 
     async def close(self) -> None:
+        """Release the server-side cursor early; idempotent."""
         if self._closed:
             return
         self._closed = True
@@ -1657,7 +725,7 @@ class AsyncRemoteResultSet:
                     "close", {"cursor": self._cursor_id}
                 ))
             except (NetworkError, CursorError):
-                pass
+                pass  # connection gone or cursor already expired
 
 
 class AsyncRemoteSession:
@@ -1672,8 +740,9 @@ class AsyncRemoteSession:
 
     On a transport failure the session reconnects lazily and replays
     idempotent requests (:data:`IDEMPOTENT_OPS`) with exponential
-    backoff, like the sync pool.  Open cursors do not survive a
-    reconnect: their fetches raise :class:`CursorError`.
+    backoff.  Open cursors do not survive a reconnect: their fetches
+    raise :class:`CursorError`.  :class:`RemoteSession` is the same
+    session driven from synchronous code.
     """
 
     def __init__(self, url: str, *, options: Optional[QueryOptions] = None,
@@ -1682,7 +751,7 @@ class AsyncRemoteSession:
                  retry_backoff: float = DEFAULT_RETRY_BACKOFF,
                  connect_timeout: float = 10.0,
                  wire_encoding: Optional[str] = None) -> None:
-        _validate_resilience_knobs(None, retries, retry_backoff)
+        _validate_resilience_knobs(retries, retry_backoff)
         self.url = url
         self.defaults = options if options is not None else QueryOptions()
         self.fetch_size = max(1, int(fetch_size))
@@ -1708,8 +777,6 @@ class AsyncRemoteSession:
         self.server_info: dict = {}
 
     async def _open(self) -> "AsyncRemoteSession":
-        import asyncio
-
         self._conn_lock = asyncio.Lock()
         self._write_lock = asyncio.Lock()
         try:
@@ -1724,7 +791,7 @@ class AsyncRemoteSession:
         except BaseException:
             # A failed handshake must not leak the transport or the
             # reader task out of a constructor the caller never got a
-            # handle from (mirrors the sync constructor's pool close).
+            # handle from.
             self._closed = True
             await self._teardown_transport()
             raise
@@ -1734,8 +801,6 @@ class AsyncRemoteSession:
     # Transport
     # ------------------------------------------------------------------
     async def _ensure_connected(self) -> None:
-        import asyncio
-
         async with self._conn_lock:
             if self._closed:
                 raise NetworkError("this remote session is closed")
@@ -1763,15 +828,16 @@ class AsyncRemoteSession:
                 self._read_loop(self._reader, self._pending)
             )
 
-    async def _read_loop(self, reader, pending: Dict[int, object]) -> None:
+    async def _read_loop(self, reader,
+                         pending: Dict[int, object]) -> ReproError:
         """Match every inbound frame to its waiting request by id.
 
         This is the demultiplexer that makes pipelining work: responses
         arrive in completion order, not request order.  On any transport
-        failure every in-flight request fails with the same error.
+        failure every in-flight request fails with the same error, which
+        is also the task's result — :meth:`_send` re-raises it for
+        requests that arrive after the connection died.
         """
-        import asyncio
-
         missing = object()
         error: Optional[ReproError] = None
         bytes_counter = global_registry().counter("repro_client_bytes_total")
@@ -1814,16 +880,18 @@ class AsyncRemoteSession:
                 if future is not None and not future.done():
                     future.set_exception(error)
             pending.clear()
+        return error
 
     async def _send(self, op: str, params: dict) -> dict:
         """Write one frame and await its matched response (no retry)."""
-        import asyncio
-
         if self._closed:
             raise NetworkError("this remote session is closed")
-        if self._writer is None or self._reader_task is None \
-                or self._reader_task.done():
+        if self._reader_task is None:
             raise NetworkError(f"not connected to {self.url}")
+        if self._reader_task.done():
+            # Report why the connection died (a truncated frame, a
+            # reset), not merely that it did.
+            raise self._reader_task.result()
         # Snapshot the transport: if a concurrent request triggers a
         # reconnect while this one waits on the write lock, writing to
         # the *old* (now closed) writer fails cleanly — never a frame on
@@ -1859,8 +927,6 @@ class AsyncRemoteSession:
             raise
 
     async def _teardown_transport(self) -> None:
-        import asyncio
-
         task, self._reader_task = self._reader_task, None
         writer, self._writer = self._writer, None
         self._reader = None
@@ -1880,36 +946,24 @@ class AsyncRemoteSession:
     # ------------------------------------------------------------------
     # Requests
     # ------------------------------------------------------------------
-    async def _retry_send(self, op: str, params: dict,
-                          attempts: int) -> Tuple[dict, int]:
-        """(Re)connect + send with bounded-backoff retry; the one retry
-        loop every async request path shares.
+    async def _retry(self, exchange, attempts: int):
+        """(Re)connect, then ``await exchange()``, with bounded-backoff
+        retry on transport failures; the one retry loop every request
+        path shares.
 
-        Returns the raw response and the connection *generation* it was
-        exchanged on (cursor opens pin their cursor to it).  The
-        ``hello`` handshake is additionally bounded by
-        ``connect_timeout``: an endpoint that accepts TCP but never
-        answers must not hang the client forever.
+        Returns the exchange's result and the connection *generation* it
+        ran on (cursor opens pin their cursor to it).  Only
+        :class:`NetworkError` / :class:`ProtocolError` retry; any other
+        error, and a failure on the last attempt, propagates.
         """
-        import asyncio
-
+        if self._closed:
+            raise NetworkError("this remote session is closed")
         delay = self.retry_backoff
         for attempt in range(attempts):
             try:
                 await self._ensure_connected()
                 generation = self._generation
-                if op == "hello":
-                    try:
-                        response = await asyncio.wait_for(
-                            self._send(op, params), self.connect_timeout
-                        )
-                    except asyncio.TimeoutError:
-                        raise NetworkError(
-                            f"server at {self.url} did not answer the "
-                            f"handshake within {self.connect_timeout}s"
-                        ) from None
-                else:
-                    response = await self._send(op, params)
+                return await exchange(), generation
             except (NetworkError, ProtocolError):
                 if attempt + 1 >= attempts:
                     raise
@@ -1917,9 +971,30 @@ class AsyncRemoteSession:
                 global_registry().counter("repro_client_retries_total").inc()
                 await asyncio.sleep(delay)
                 delay = min(delay * 2, _MAX_RETRY_BACKOFF)
-                continue
-            return response, generation
         raise AssertionError("unreachable")  # pragma: no cover
+
+    async def _retry_send(self, op: str, params: dict,
+                          attempts: int) -> Tuple[dict, int]:
+        """One frame through :meth:`_retry`: the raw response and its
+        connection generation.
+
+        The ``hello`` handshake is additionally bounded by
+        ``connect_timeout``: an endpoint that accepts TCP but never
+        answers must not hang the client forever.
+        """
+        async def exchange() -> dict:
+            if op != "hello":
+                return await self._send(op, params)
+            try:
+                return await asyncio.wait_for(self._send(op, params),
+                                              self.connect_timeout)
+            except asyncio.TimeoutError:
+                raise NetworkError(
+                    f"server at {self.url} did not answer the "
+                    f"handshake within {self.connect_timeout}s"
+                ) from None
+
+        return await self._retry(exchange, attempts)
 
     async def _request(self, op: str, **params) -> dict:
         """One request, reconnecting + retrying idempotent ops."""
@@ -1927,35 +1002,20 @@ class AsyncRemoteSession:
         response, _ = await self._retry_send(op, params, attempts)
         return _result(response)
 
-    async def _open_cursor(self, text: str, payload: dict,
-                           shard: Optional[dict] = None,
-                           trace_id: Optional[str] = None,
-                           span: Optional[dict] = None,
-                           op: str = "cursor",
-                           extra: Optional[dict] = None
-                           ) -> Tuple[dict, int]:
+    async def _open_cursor(self, op: str, text: str, payload: dict,
+                           extra: dict) -> Tuple[dict, int]:
         """Open a server cursor; returns (open body, connection
         generation) — ``body["cursor"]`` is the id.
 
         Retried like an idempotent op — a cursor whose open response was
-        lost died with its connection, so a replay leaks nothing.
-        ``shard`` (optional) restricts the cursor to one grid cell of a
-        distributed partitioning; ``trace_id``/``span`` carry the
-        coordinator's distributed trace context; ``op``/``extra`` select
-        the open verb (``cluster_cursor``) and its extra frame fields
-        (``hop``, ``peers``) for peer-coordinated opens.
+        lost died with its connection, so a replay leaks nothing.  ``op``
+        is the open verb (``cluster_cursor`` for peer-coordinated opens)
+        and ``extra`` the frame fields riding it (shard, trace context,
+        ``hop``, ``peers``).
         """
-        params = {"query": text, "options": payload}
-        if shard is not None:
-            params["shard"] = shard
-        if trace_id is not None:
-            params["trace_id"] = trace_id
-        if span is not None:
-            params["span"] = span
-        if extra:
-            params.update(extra)
         response, generation = await self._retry_send(
-            op, params, 1 + self.retries,
+            op, {"query": text, "options": payload, **extra},
+            1 + self.retries,
         )
         return _result(response), generation
 
@@ -1966,7 +1026,7 @@ class AsyncRemoteSession:
                                payload: dict) -> int:
         """The handle for ``key`` on the *current* connection, preparing
         when the mapping is missing or pinned to a pre-reconnect
-        generation.  Single attempt — the callers' retry loops own
+        generation.  Single attempt — the caller's retry loop owns
         reconnection."""
         entry = self._prepared.get(key)
         if entry is not None and entry[1] == self._generation:
@@ -1979,42 +1039,27 @@ class AsyncRemoteSession:
 
     async def _prepared_send(self, op: str, key: Tuple[str, str],
                              text: str, payload: dict,
-                             extra: Optional[dict] = None
-                             ) -> Tuple[dict, int]:
-        """Execute-by-handle with the standard retry loop plus one
+                             extra: dict) -> Tuple[dict, int]:
+        """Execute-by-handle through the shared retry loop, plus one
         transparent re-prepare on :class:`PreparedError` (the server
         idle-expired or lost the handle while the connection lived).
+        A reconnect needs no special case: the new generation strands
+        the old handle and :meth:`_ensure_prepared` prepares afresh.
         Returns the result body and the generation it was exchanged on.
         """
-        import asyncio
-
-        attempts = 1 + self.retries
-        delay = self.retry_backoff
-        for attempt in range(attempts):
+        async def exchange() -> dict:
+            params = {"handle": await self._ensure_prepared(key, text,
+                                                            payload),
+                      "options": payload, **extra}
             try:
-                await self._ensure_connected()
-                generation = self._generation
-                handle = await self._ensure_prepared(key, text, payload)
-                params = {"handle": handle, "options": payload}
-                if extra:
-                    params.update(extra)
-                try:
-                    body = _result(await self._send(op, params))
-                except PreparedError:
-                    self._prepared.pop(key, None)
-                    params["handle"] = await self._ensure_prepared(
-                        key, text, payload)
-                    body = _result(await self._send(op, params))
-            except (NetworkError, ProtocolError):
-                if attempt + 1 >= attempts:
-                    raise
-                self._retries_attempted += 1
-                global_registry().counter("repro_client_retries_total").inc()
-                await asyncio.sleep(delay)
-                delay = min(delay * 2, _MAX_RETRY_BACKOFF)
-                continue
-            return body, generation
-        raise AssertionError("unreachable")  # pragma: no cover
+                return _result(await self._send(op, params))
+            except PreparedError:
+                self._prepared.pop(key, None)
+                params["handle"] = await self._ensure_prepared(
+                    key, text, payload)
+                return _result(await self._send(op, params))
+
+        return await self._retry(exchange, 1 + self.retries)
 
     # ------------------------------------------------------------------
     # The Session surface
@@ -2212,3 +1257,323 @@ async def connect_async(url: str, *,
                                  connect_timeout=connect_timeout,
                                  wire_encoding=wire_encoding)
     return await session._open()
+
+
+# ----------------------------------------------------------------------
+# The synchronous façade
+# ----------------------------------------------------------------------
+class RemoteResultSet(RowCursor):
+    """A server-side cursor paged over the wire, with the local surface.
+
+    The synchronous face of an :class:`AsyncRemoteResultSet`: the
+    cursor is forward-only and shared across the consumption methods,
+    exactly like a local :class:`~repro.api.result.ResultSet`.  Rows
+    already paged in are served straight from the buffer; anything that
+    needs the wire runs on the session's loop thread.  If the connection
+    is lost mid-stream the cursor is gone — fetches raise
+    :class:`CursorError` (never a silent retry, which could skip or
+    repeat rows); re-run the query for a fresh result set.
+    """
+
+    def __init__(self, session: "RemoteSession",
+                 inner: AsyncRemoteResultSet) -> None:
+        self._session = session
+        self._inner = inner
+        self._variables = inner._variables
+
+    @property
+    def query_text(self) -> str:
+        return self._inner.query_text
+
+    @property
+    def algorithm(self) -> str:
+        return self._inner.algorithm
+
+    @property
+    def shards(self) -> int:
+        return self._inner.shards
+
+    @property
+    def complete(self) -> bool:
+        """True once the full answer has been pulled over the wire."""
+        return self._inner.complete
+
+    @property
+    def stats(self) -> ResultStats:
+        """What this result did, merged from plan metadata and fetches."""
+        return self._inner.stats
+
+    @property
+    def open_body(self) -> dict:
+        """The raw cursor-open response body (peer opens carry gather
+        summary scalars: shard map, hedges, coordinator)."""
+        return self._inner.open_body
+
+    def _pull(self) -> Optional[Row]:
+        inner = self._inner
+        if not inner._buffer and (
+                inner._done or not self._session._call(inner._refill())):
+            return None
+        return inner._pop()
+
+    def fetchmany(self, size: int = 1) -> List[Row]:
+        """See :meth:`AsyncRemoteResultSet.fetchmany`."""
+        return self._session._call(self._inner.fetchmany(size))
+
+    def fetchall(self) -> List[Row]:
+        """See :meth:`AsyncRemoteResultSet.fetchall`."""
+        return self._session._call(self._inner.fetchall())
+
+    def count(self) -> int:
+        """The number of answers via the server's count path; the
+        cursor position is untouched."""
+        return self._session._call(self._inner.count())
+
+    def close(self) -> None:
+        """Release the server-side cursor early; idempotent."""
+        self._session._call(self._inner.close())
+
+
+class RemotePreparedHandle:
+    """A server-side prepared statement with the local handle surface.
+
+    Returned by :meth:`RemoteSession.prepare`; the synchronous face of
+    an :class:`AsyncRemotePreparedHandle`.  ``run`` builds a result set
+    whose cursor and count travel by handle — the query text is never
+    resent and never reparsed.  A handle the server expired or lost to
+    a restart is re-prepared transparently on the next execute.
+    """
+
+    def __init__(self, session: "RemoteSession",
+                 inner: AsyncRemotePreparedHandle) -> None:
+        self._session = session
+        self._inner = inner
+
+    @property
+    def text(self) -> str:
+        return self._inner.text
+
+    @property
+    def algorithm(self) -> str:
+        return self._inner.algorithm
+
+    def run(self, options: Optional[QueryOptions] = None,
+            **overrides) -> RemoteResultSet:
+        """Execute the prepared shape; nothing touches the wire until
+        the result set is consumed."""
+        return RemoteResultSet(self._session, self._session._call(
+            self._inner.run(options, **overrides)))
+
+    def explain(self) -> RemoteExplain:
+        return self._session._call(self._inner.explain())
+
+    def close(self) -> None:
+        """Deallocate (best effort) and refuse further runs; idempotent."""
+        self._session._call(self._inner.close())
+
+    def __enter__(self) -> "RemotePreparedHandle":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def __repr__(self) -> str:
+        state = "closed" if self._inner._closed else "open"
+        return (f"RemotePreparedHandle(text={self.text!r}, "
+                f"algorithm={self.algorithm!r}, {state})")
+
+
+class RemoteSession:
+    """A connected remote client with the local ``Session`` surface.
+
+    The synchronous face of one :class:`AsyncRemoteSession`, driven on a
+    private event-loop thread: every call forwards to the async core, so
+    reconnect, retry, re-prepare and cursor paging behave exactly as
+    they do there.  Worker threads may share one session; their
+    requests multiplex over its single connection.
+
+    Parameters
+    ----------
+    url:
+        ``repro://host[:port]`` (bracket IPv6 literals: ``repro://[::1]``).
+    options:
+        Session-default :class:`QueryOptions`; per-call overrides apply
+        exactly as on a local session.
+    fetch_size:
+        Page size for iteration-driven fetches (explicit ``fetchmany(k)``
+        always fetches exactly ``k``).
+    connect_timeout:
+        Seconds to wait for a TCP connection and for the handshake
+        (queries themselves are not bounded client-side; use
+        ``QueryOptions.timeout`` for that).
+    retries:
+        How many times an idempotent request (:data:`IDEMPOTENT_OPS`) is
+        replayed on a fresh connection after a transport failure, with
+        exponential backoff starting at ``retry_backoff`` seconds.
+        Cursor fetches are never retried.
+    wire_encoding:
+        ``"binary"`` (the default) advertises the columnar binary fetch
+        encoding in the handshake and uses it when the server agrees;
+        ``"json"`` skips the advertisement entirely — indistinguishable,
+        on the wire, from a protocol-v1 client.  The environment
+        variable :data:`WIRE_ENCODING_ENV` overrides the default when
+        the argument is ``None``.  ``self.wire_encoding`` afterwards
+        holds what was actually negotiated.
+    """
+
+    def __init__(self, url: str, *, options: Optional[QueryOptions] = None,
+                 fetch_size: int = DEFAULT_FETCH_SIZE,
+                 connect_timeout: float = 10.0,
+                 retries: int = DEFAULT_RETRIES,
+                 retry_backoff: float = DEFAULT_RETRY_BACKOFF,
+                 wire_encoding: Optional[str] = None) -> None:
+        core = AsyncRemoteSession(
+            url, options=options, fetch_size=fetch_size, retries=retries,
+            retry_backoff=retry_backoff, connect_timeout=connect_timeout,
+            wire_encoding=wire_encoding,
+        )
+        self._async = core
+        self._closed = False
+        self._loop = _LoopThread()
+        try:
+            self._loop.call(core._open())
+        except BaseException:
+            # A failed handshake must leak neither sockets (the core
+            # tore its transport down) nor the loop thread.
+            self._closed = True
+            self._loop.close()
+            raise
+        self.url = url
+        self.defaults = core.defaults
+        self.retries = core.retries
+        self.server_info = core.server_info
+        self.wire_encoding = core.wire_encoding
+
+    def _call(self, coro):
+        """Run one coroutine of the async core and return its result.
+
+        Normally on the loop thread.  After :meth:`close` that thread is
+        gone, so the coroutine runs on a throwaway loop against the
+        closed core instead: whatever needs the wire fails exactly as on
+        a closed async session (an undrained cursor with
+        :class:`CursorError`), and rows or counts already in hand are
+        still served.
+        """
+        if self._closed:
+            return asyncio.run(coro)
+        return self._loop.call(coro)
+
+    def _request(self, op: str, **params) -> dict:
+        """One raw request (retried if idempotent), unwrapped."""
+        return self._call(self._async._request(op, **params))
+
+    # ------------------------------------------------------------------
+    # The Session surface
+    # ------------------------------------------------------------------
+    def options(self, options: Optional[QueryOptions] = None,
+                **overrides) -> QueryOptions:
+        """Resolve per-call options against the session defaults."""
+        return self._async.options(options, **overrides)
+
+    def run(self, query, options: Optional[QueryOptions] = None,
+            **overrides) -> RemoteResultSet:
+        """Plan ``query`` server-side; no cursor opens until the result
+        set is consumed.
+
+        Options validate client-side (the same
+        :class:`~repro.errors.OptionsError` boundary as a local session)
+        before anything touches the wire.  With ``route="peer"`` the
+        plan probe travels as ``cluster_run`` (``hop=0``): the server
+        answers with its peer-fleet plan and later consumption gathers
+        server-side.
+        """
+        return RemoteResultSet(self, self._call(
+            self._async.run(query, options, **overrides)))
+
+    def prepare(self, query, options: Optional[QueryOptions] = None,
+                **overrides) -> RemotePreparedHandle:
+        """Register ``query`` server-side and return a reusable handle.
+
+        Preparing pays the parse/decompose/plan cost once; every
+        subsequent :meth:`RemotePreparedHandle.run` sends only the
+        integer handle.  Preparing the same text twice dedups to the
+        same server-side statement.
+        """
+        return RemotePreparedHandle(self, self._call(
+            self._async.prepare(query, options, **overrides)))
+
+    def explain(self, query, options: Optional[QueryOptions] = None,
+                **overrides) -> RemoteExplain:
+        """The server's structured plan report for ``query``."""
+        return self._call(self._async.explain(query, options, **overrides))
+
+    def stats(self) -> dict:
+        """Connection, cursor, and service counters from the server.
+
+        ``connection`` and ``cursors`` describe this session's
+        connection; ``service`` is global.  ``client`` is local: this
+        session's resilience accounting — retries attempted, reconnects,
+        and the connection generation (1 until the first reconnect).
+        """
+        return self._call(self._async.stats())
+
+    def metrics(self) -> str:
+        """The server's metrics registry in Prometheus text format."""
+        return self._call(self._async.metrics())
+
+    def events(self, limit: Optional[int] = None) -> List[dict]:
+        """The server's flight-recorder ring, oldest first."""
+        return self._call(self._async.events(limit))
+
+    def close(self) -> None:
+        """Say goodbye, close the connection, stop the loop thread;
+        idempotent.  Undrained result sets' cursors die with the
+        connection."""
+        if self._closed:
+            return
+        self._closed = True
+        try:
+            self._loop.call(self._async.close())
+        finally:
+            self._loop.close()
+
+    def __enter__(self) -> "RemoteSession":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def __repr__(self) -> str:
+        state = "closed" if self._closed else "open"
+        return f"RemoteSession({self.url!r}, {state})"
+
+
+def connect(url: str, *,
+            algorithm: str = "auto",
+            parallel: Optional[int] = None,
+            partition_mode: str = "auto",
+            timeout: Optional[float] = None,
+            use_cache: bool = True,
+            limit: Optional[int] = None,
+            trace: bool = False,
+            route: Optional[str] = None,
+            fetch_size: int = DEFAULT_FETCH_SIZE,
+            connect_timeout: float = 10.0,
+            retries: int = DEFAULT_RETRIES,
+            retry_backoff: float = DEFAULT_RETRY_BACKOFF,
+            wire_encoding: Optional[str] = None) -> RemoteSession:
+    """Open a :class:`RemoteSession`; keyword args become its defaults.
+
+    ``route="peer"`` makes every query travel as a peer-coordinated
+    cluster op: the server sub-shards across its ``--peers`` fleet and
+    merges server-side, so only the merged answer crosses this hop.
+    """
+    options = QueryOptions(
+        algorithm=algorithm, parallel=parallel,
+        partition_mode=partition_mode, timeout=timeout,
+        use_cache=use_cache, limit=limit, trace=trace, route=route,
+    )
+    return RemoteSession(url, options=options, fetch_size=fetch_size,
+                         connect_timeout=connect_timeout, retries=retries,
+                         retry_backoff=retry_backoff,
+                         wire_encoding=wire_encoding)

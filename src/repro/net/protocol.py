@@ -14,7 +14,7 @@ prefix bit  body
 
 A binary header is a normal response object plus ``"n"`` (row count)
 and ``"cols"`` (``[kind, count, nbytes]`` per column, see
-:mod:`repro.net.columnar`); the frame readers decode it transparently,
+:mod:`repro.net.columnar`); the frame reader decodes it transparently,
 handing back the same dict a JSON frame would carry with ``rows``
 already materialized.  Binary frames are **negotiated**: the client
 advertises ``encodings`` in ``hello``, the server answers with the
@@ -290,47 +290,18 @@ def _decode_length(prefix: bytes) -> Tuple[int, bool]:
     return length, binary
 
 
-def read_frame(read: Callable[[int], bytes]) -> Optional[dict]:
-    """Read one frame from a blocking byte source.
-
-    ``read(n)`` must behave like ``io.RawIOBase.read`` on a blocking
-    stream: return up to ``n`` bytes, or ``b""`` at EOF.  Returns the
-    decoded frame, or ``None`` on a clean EOF at a frame boundary; EOF
-    in the middle of a frame raises :class:`ProtocolError`.
-    """
-    prefix = _read_exact(read, _LENGTH.size, at_boundary=True)
-    if prefix is None:
-        return None
-    length, binary = _decode_length(prefix)
-    body = _read_exact(read, length, at_boundary=False)
-    body = body if body is not None else b""
-    return _decode_binary_body(body) if binary else _decode_body(body)
-
-
-def _read_exact(read: Callable[[int], bytes], size: int,
-                at_boundary: bool) -> Optional[bytes]:
-    chunks = []
-    remaining = size
-    while remaining:
-        chunk = read(remaining)
-        if not chunk:
-            if at_boundary and remaining == size:
-                return None
-            raise ProtocolError(
-                f"connection closed mid-frame ({size - remaining} of "
-                f"{size} bytes read)"
-            )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
 async def read_frame_async(
         readexactly: Callable[[int], Awaitable[bytes]]) -> Optional[dict]:
-    """The asyncio twin of :func:`read_frame`.
+    """Read one frame from a stream.
 
     ``readexactly`` is :meth:`asyncio.StreamReader.readexactly` (or any
     coroutine with its contract: raises ``IncompleteReadError`` on EOF).
+    Returns the decoded frame, or ``None`` on a clean EOF at a frame
+    boundary.  A stream that ends after part of a frame arrived is
+    truncated and raises :class:`ProtocolError` ("connection closed
+    mid-frame"), whether it ended by EOF or by a transport error such as
+    a reset; a transport error at a frame boundary propagates as the
+    ``OSError`` it is.
     """
     import asyncio
 
@@ -349,6 +320,11 @@ async def read_frame_async(
         raise ProtocolError(
             f"connection closed mid-frame ({len(error.partial)} of "
             f"{error.expected} body bytes read)"
+        ) from None
+    except OSError as error:
+        raise ProtocolError(
+            f"connection closed mid-frame (after the length prefix: "
+            f"{error})"
         ) from None
     return _decode_binary_body(body) if binary else _decode_body(body)
 

@@ -524,14 +524,6 @@ def declare_standard_metrics(registry: MetricsRegistry) -> None:
         "Pipelined requests currently being served.",
     )
     registry.counter(
-        "repro_client_checkouts_total",
-        "Connections checked out of the client pool.",
-    )
-    registry.counter(
-        "repro_client_health_replaced_total",
-        "Pooled connections discarded by the checkout health probe.",
-    )
-    registry.counter(
         "repro_client_retries_total",
         "Idempotent request retries after a network/protocol failure.",
     )

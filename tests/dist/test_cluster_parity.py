@@ -203,8 +203,6 @@ def test_connect_url_dispatches_to_cluster(servers, local):
     with connect(url) as session:
         assert isinstance(session, ClusterSession)
         assert session.count(QUERIES[0]) == local.run(QUERIES[0]).count()
-    with pytest.raises(OptionsError, match="pool_size"):
-        connect(url, pool_size=4)
 
 
 def test_dispatch_spreads_over_servers(servers, local):

@@ -1,4 +1,5 @@
-"""The client resilience layer: pool, retry, pinned cursors, multiplexing."""
+"""The client resilience layer: one multiplexed connection per session,
+retry and reconnect, cursors on that connection, multiplexing."""
 
 import asyncio
 import time
@@ -7,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import repro
-from repro.errors import CursorError, NetworkError, OptionsError
+from repro.errors import CursorError, OptionsError
 from repro.joins.naive import NaiveBacktrackingJoin
 from repro.net.client import RemoteSession, connect_async
 from repro.net.server import ServerThread
@@ -32,61 +33,66 @@ def server(service):
 
 
 class TestConnectionPool:
+    """What the sync connection pool used to guarantee, now that every
+    session multiplexes one connection: requests reuse it, cursors live
+    on it until drained or closed, threads share it."""
+
     def test_sequential_requests_reuse_one_connection(self, server):
         with RemoteSession(server.url) as session:
             for _ in range(5):
                 session.run(TRIANGLE).count()
-            assert len(session._pool) == 1
-            assert session._pool.idle == 1
+            assert session.stats()["client"]["generation"] == 1
 
     def test_undrained_cursor_pins_a_connection_until_drained(self, server):
         with RemoteSession(server.url) as session:
+            def cursors():
+                return session.stats()["cursors"]["active"]
+
             result_set = session.run(TWO_HOP, use_cache=False)
-            assert session._pool.idle == 1  # run plans only: no pin yet
+            assert cursors() == 0  # run plans only: no cursor yet
             result_set.fetchmany(1)
-            assert session._pool.idle == 0  # the cursor owns it now
+            assert cursors() == 1  # the cursor lives on the connection
+            # ... which keeps carrying other traffic meanwhile.
+            assert session.run(TRIANGLE).count() > 0
             result_set.fetchall()
-            assert session._pool.idle == 1  # drained: back in the pool
+            assert cursors() == 0  # drained: released server-side
+            assert session.stats()["client"]["generation"] == 1
 
     def test_closing_a_result_set_releases_its_connection(self, server):
         with RemoteSession(server.url) as session:
             result_set = session.run(TWO_HOP, use_cache=False)
             result_set.fetchmany(1)
             result_set.close()
-            assert session._pool.idle == 1
+            assert session.stats()["cursors"]["active"] == 0
 
-    def test_pool_is_bounded_with_a_clear_exhaustion_error(self, server):
-        with RemoteSession(server.url, pool_size=2,
-                           connect_timeout=0.3) as session:
-            first = session.run(TWO_HOP, use_cache=False)
-            first.fetchmany(1)
-            second = session.run(TWO_HOP, use_cache=False)
-            second.fetchmany(1)
-            # Both connections are pinned by undrained cursors.
-            # Exhaustion fails fast: no retry sleeps — backoff cannot
-            # conjure a free connection, so one checkout wait suffices.
-            started = time.monotonic()
-            with pytest.raises(NetworkError, match="exhausted"):
-                session.run(TRIANGLE).count()
-            assert time.monotonic() - started < 0.75  # one 0.3s wait
-            first.close()  # frees a slot; traffic flows again
+    def test_many_undrained_cursors_share_one_connection(self, server):
+        # More open cursors than the old pool had connections: nothing
+        # is exhausted, every stream reads on, requests keep flowing.
+        with RemoteSession(server.url) as session:
+            total = session.run(TWO_HOP).count()
+            streams = [session.run(TWO_HOP, use_cache=False)
+                       for _ in range(6)]
+            for stream in streams:
+                assert len(stream.fetchmany(1)) == 1
             assert session.run(TRIANGLE).count() > 0
-            second.close()
+            for stream in streams:
+                assert len(stream.fetchall()) == total - 1
+            assert session.stats()["client"]["generation"] == 1
 
     def test_worker_threads_share_one_session(self, server):
-        with RemoteSession(server.url, pool_size=4) as session:
+        with RemoteSession(server.url) as session:
             expected = session.run(TRIANGLE).count()
             with ThreadPoolExecutor(8) as workers:
                 counts = list(workers.map(
                     lambda _: session.run(TRIANGLE).count(), range(16)
                 ))
             assert counts == [expected] * 16
-            assert len(session._pool) <= 4  # the bound held under load
+            assert session.stats()["client"]["generation"] == 1
 
     def test_session_close_reaps_pinned_connections(self, server):
         session = RemoteSession(server.url)
         result_set = session.run(TWO_HOP, use_cache=False)
-        result_set.fetchmany(1)  # pins a connection
+        result_set.fetchmany(1)  # opens a server-side cursor
         session.close()
         # No socket outlives the session; the cursor died with it.
         with pytest.raises(CursorError):
@@ -100,13 +106,15 @@ class TestRetryAndReconnect:
         session = RemoteSession(server.url, retries=3, retry_backoff=0.02)
         try:
             expected = session.run(TRIANGLE).count()
-            server.stop()  # every pooled connection is now stale
+            server.stop()  # the session's connection is now dead
             replacement = ServerThread(service, port=port).start()
             try:
-                # run/count/explain/stats ride the health check + retry.
+                # run/count/explain/stats reconnect and retry.
                 assert session.run(TRIANGLE).count() == expected
                 assert session.explain(TRIANGLE).as_dict()
-                assert "service" in session.stats()
+                stats = session.stats()
+                assert "service" in stats
+                assert stats["client"]["reconnects"] >= 1
             finally:
                 replacement.stop()
         finally:
@@ -120,9 +128,10 @@ class TestRetryAndReconnect:
             with pytest.raises(ParseError):
                 session.run("edge(a,")
             # The connection survived the application error: same socket.
-            assert len(session._pool) == 1
             assert session.run(TRIANGLE).count() > 0
-            assert len(session._pool) == 1
+            client = session.stats()["client"]
+            assert client["generation"] == 1
+            assert client["retries"] == 0
 
 
 class TestMultiplexing:
@@ -217,8 +226,7 @@ class TestOverloadAndCancellation:
                 # Small fetch_size so iteration leaves rows in the client
                 # buffer — the rejected fetchmany below must put its
                 # partial take back rather than lose it.
-                with RemoteSession(server.url, pool_size=3,
-                                   fetch_size=5) as session:
+                with RemoteSession(server.url, fetch_size=5) as session:
                     total = session.run(TWO_HOP).count()
                     stream = session.run(TWO_HOP, use_cache=False)
                     delivered = stream.fetchmany(2)
@@ -304,25 +312,25 @@ class TestOverloadAndCancellation:
 
 class TestConnectKwargs:
     def test_repro_connect_forwards_pool_knobs(self, server):
-        with repro.connect(server.url, pool_size=2, retries=5) as session:
+        with repro.connect(server.url, retries=5) as session:
             assert isinstance(session, RemoteSession)
-            assert session._pool.size == 2
             assert session.retries == 5
             assert session.run(TRIANGLE).count() > 0
 
     def test_local_connect_rejects_pool_knobs(self):
-        with pytest.raises(OptionsError, match="pool_size/retries"):
-            repro.connect(pool_size=2)
-        with pytest.raises(OptionsError, match="pool_size/retries"):
+        with pytest.raises(OptionsError, match="retries"):
             repro.connect(retries=1)
+        # The connection-pool size is gone: one session, one connection.
+        with pytest.raises(TypeError, match="pool_size"):
+            repro.connect(pool_size=2)
 
     def test_nonsense_knob_values_are_rejected_not_clamped(self, server):
         # Boundary discipline matches QueryOptions: a typo'd knob is an
         # error, not silently different resilience behavior.
-        with pytest.raises(OptionsError, match="pool_size"):
-            RemoteSession(server.url, pool_size=0)
         with pytest.raises(OptionsError, match="retries"):
             RemoteSession(server.url, retries=-1)
+        with pytest.raises(OptionsError, match="retry_backoff"):
+            RemoteSession(server.url, retry_backoff=0)
 
         async def bad_async():
             await connect_async(server.url, retries=-2)
@@ -334,9 +342,9 @@ class TestConnectKwargs:
         from repro.cli import EXIT_BAD_OPTIONS, main
 
         code = main(["query", "--connect", server.url, "--text", TRIANGLE,
-                     "--pool-size", "0"])
+                     "--retries", "-1"])
         assert code == EXIT_BAD_OPTIONS
-        assert "pool_size" in capsys.readouterr().err
+        assert "retries" in capsys.readouterr().err
 
 
 class TestCliKnobs:
@@ -344,14 +352,19 @@ class TestCliKnobs:
         from repro.cli import EXIT_BAD_OPTIONS, main
 
         code = main(["query", "--dataset", "ca-GrQc",
-                     "--pattern", "3-clique", "--pool-size", "2"])
+                     "--pattern", "3-clique", "--retries", "2"])
         assert code == EXIT_BAD_OPTIONS
         assert "--connect" in capsys.readouterr().err
+        # --pool-size no longer exists: argparse rejects it outright.
+        with pytest.raises(SystemExit) as info:
+            main(["query", "--dataset", "ca-GrQc",
+                  "--pattern", "3-clique", "--pool-size", "2"])
+        assert info.value.code == 2
 
     def test_pool_flags_apply_over_the_wire(self, server, capsys):
         from repro.cli import main
 
         code = main(["query", "--connect", server.url, "--text", TRIANGLE,
-                     "--pool-size", "2", "--retries", "1"])
+                     "--retries", "1"])
         assert code == 0
         assert "results" in capsys.readouterr().out

@@ -20,6 +20,8 @@ from repro.errors import ProtocolError
 from repro.exec.shards import pack_column
 from repro.net import columnar, protocol
 
+from tests.net.frames import read_frames
+
 # ----------------------------------------------------------------------
 # Value strategies spanning every typecode the packer can choose
 # ----------------------------------------------------------------------
@@ -45,16 +47,7 @@ def roundtrip(rows):
     frame = protocol.encode_binary_frame(
         {"id": 1, "ok": True, "cols": meta, "n": len(rows)}, blocks
     )
-    stream = memoryview(frame)
-    position = [0]
-
-    def read(n):
-        chunk = stream[position[0]:position[0] + n]
-        position[0] += len(chunk)
-        return bytes(chunk)
-
-    decoded = protocol.read_frame(read)
-    assert decoded is not None
+    [decoded] = read_frames(frame)
     return decoded
 
 
@@ -161,15 +154,7 @@ def _binary_frame(header, blocks):
 
 
 def _read_all(frame):
-    stream = memoryview(frame)
-    position = [0]
-
-    def read(n):
-        chunk = stream[position[0]:position[0] + n]
-        position[0] += len(chunk)
-        return bytes(chunk)
-
-    return protocol.read_frame(read)
+    return read_frames(frame)
 
 
 def test_truncated_column_block_rejected():

@@ -165,34 +165,44 @@ class TestConnectionRefused:
                               connect_timeout=0.5)
 
 
+@contextlib.contextmanager
+def half_frame_server():
+    """A fake "server" that hands every connection a frame prefix
+    promising 100 bytes, three actual bytes, then hangs up without
+    reading anything — a half-written frame, the classic crash-mid-send
+    shape.  Yields ``(port, dials)``; ``dials`` grows per connection."""
+    listener = socket.socket()
+    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(8)
+    listener.settimeout(0.2)
+    dials = []
+    stop = threading.Event()
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except socket.timeout:
+                continue
+            dials.append(1)
+            with conn:
+                conn.sendall(struct.pack("!I", 100) + b'{"x')
+
+    acceptor = threading.Thread(target=serve, daemon=True)
+    acceptor.start()
+    try:
+        yield listener.getsockname()[1], dials
+    finally:
+        stop.set()
+        acceptor.join(timeout=5)
+        listener.close()
+
+
 class TestTruncatedFrames:
     def test_half_written_frame_fails_after_retrying_fresh_connections(
             self):
-        # A fake "server" that hands every connection a frame prefix
-        # promising 100 bytes, three actual bytes, then EOF — a
-        # half-written frame, the classic crash-mid-send shape.
-        listener = socket.socket()
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(8)
-        listener.settimeout(0.2)
-        port = listener.getsockname()[1]
-        dials = []
-        stop = threading.Event()
-
-        def serve():
-            while not stop.is_set():
-                try:
-                    conn, _ = listener.accept()
-                except socket.timeout:
-                    continue
-                dials.append(1)
-                with conn:
-                    conn.sendall(struct.pack("!I", 100) + b'{"x')
-
-        acceptor = threading.Thread(target=serve, daemon=True)
-        acceptor.start()
-        try:
+        with half_frame_server() as (port, dials):
             with assert_no_socket_leaks():
                 with pytest.raises(ProtocolError, match="mid-frame"):
                     RemoteSession(f"repro://127.0.0.1:{port}",
@@ -200,10 +210,23 @@ class TestTruncatedFrames:
             # The handshake is idempotent: each retry dialled a *fresh*
             # connection rather than reusing the poisoned one.
             assert len(dials) == 3
-        finally:
-            stop.set()
-            acceptor.join(timeout=5)
-            listener.close()
+
+    def test_async_handshake_names_the_truncated_frame(self):
+        # Whether the hang-up lands before or after the hello is written,
+        # the handshake must report the truncated frame that killed the
+        # connection — never a generic "not connected".
+        import asyncio
+
+        async def main(port):
+            for _ in range(20):
+                with pytest.raises(ProtocolError, match="mid-frame"):
+                    await connect_async(f"repro://127.0.0.1:{port}",
+                                        retries=0)
+
+        with half_frame_server() as (port, dials):
+            with assert_no_socket_leaks():
+                asyncio.run(main(port))
+            assert len(dials) == 20
 
     def test_async_failed_handshake_leaks_no_transport(self):
         # connect_async against an endpoint that accepts then hangs up:
@@ -264,6 +287,24 @@ class TestTruncatedFrames:
 
 
 class TestCleanLifecycleLeaksNothing:
+    def test_sync_sessions_leave_no_loop_thread(self, service):
+        def loop_threads():
+            return {thread for thread in threading.enumerate()
+                    if thread.name == "repro-client-loop"}
+
+        before = loop_threads()
+        with ServerThread(service) as server:
+            session = RemoteSession(server.url)
+            session.run(TRIANGLE).count()
+            session.close()
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            free_port = probe.getsockname()[1]
+        with pytest.raises(NetworkError):
+            RemoteSession(f"repro://127.0.0.1:{free_port}", retries=0,
+                          connect_timeout=0.5)
+        assert loop_threads() <= before
+
     def test_sync_session_with_abandoned_cursor(self, service):
         with assert_no_socket_leaks():
             with ServerThread(service) as server:

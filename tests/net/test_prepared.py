@@ -3,11 +3,11 @@ surfaces (local / remote / async), and the headline guarantee — zero
 parses after ``prepare``.
 
 The server registers compiled shapes per-connection (idle TTL + cap,
-the cursor-registry discipline); clients hold ``(text, algorithm) ->
-handle`` maps per pooled connection and re-prepare transparently when a
-handle turns out dead (TTL expiry, deallocation elsewhere, server
-restart), so a prepared handle survives everything short of the client
-closing it.
+the cursor-registry discipline); the client holds a ``(text,
+algorithm) -> handle`` map for its connection and re-prepares
+transparently when a handle turns out dead (TTL expiry, deallocation
+elsewhere, server restart), so a prepared handle survives everything
+short of the client closing it.
 """
 
 import asyncio
@@ -174,7 +174,7 @@ class TestRemoteSession:
             handle.close()  # idempotent
 
     def test_prepare_is_idempotent_on_the_wire(self, server):
-        with RemoteSession(server.url, pool_size=1) as session:
+        with RemoteSession(server.url) as session:
             first = session.prepare(QUERY)
             second = session.prepare(QUERY)
             stats = session.stats()["prepared"]
@@ -192,7 +192,7 @@ class TestRemoteSession:
 
         monkeypatch.setattr(engine_module, "parse_query", spy)
         text = "edge(m,n), edge(n,o), edge(o,m)"  # not used elsewhere
-        with RemoteSession(server.url, pool_size=1) as session:
+        with RemoteSession(server.url) as session:
             handle = session.prepare(text)
             assert any(text == call for call in calls)
             parsed_during_prepare = len(calls)
@@ -202,16 +202,14 @@ class TestRemoteSession:
             assert len(calls) == parsed_during_prepare
 
     def test_execute_on_dead_handle_reprepares_transparently(self, server):
-        with RemoteSession(server.url, pool_size=1) as session:
+        with RemoteSession(server.url) as session:
             handle = session.prepare(QUERY)
             expected = _normalized(handle.run().fetchall())
-            # Sabotage: deallocate server-side behind the client's back.
-            conn = session._pool.checkout()
-            try:
-                for wire_handle in list(conn.prepared.values()):
-                    conn.exchange("deallocate", handle=wire_handle)
-            finally:
-                session._pool.checkin(conn)
+            # Sabotage: deallocate server-side behind the client's back
+            # (prepare answered with the handle it issued).
+            body = session._request("deallocate",
+                                    handle=handle._inner._meta["handle"])
+            assert body["deallocated"]
             # The stale client-side mapping triggers PreparedError on the
             # wire; the session re-prepares on the same connection.
             assert _normalized(handle.run().fetchall()) == expected
@@ -219,7 +217,7 @@ class TestRemoteSession:
     def test_handles_survive_ttl_expiry(self, service):
         with ServerThread(service, prepared_ttl=0.05,
                           max_prepared=8) as server:
-            with RemoteSession(server.url, pool_size=1) as session:
+            with RemoteSession(server.url) as session:
                 handle = session.prepare(QUERY)
                 expected = _normalized(handle.run().fetchall())
                 import time
@@ -227,7 +225,7 @@ class TestRemoteSession:
                 assert _normalized(handle.run().fetchall()) == expected
 
     def test_stats_surface_prepared_counters(self, server):
-        with RemoteSession(server.url, pool_size=1) as session:
+        with RemoteSession(server.url) as session:
             session.prepare(QUERY).run().count()
             stats = session.stats()["prepared"]
             assert stats["prepared"] >= 1

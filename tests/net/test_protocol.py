@@ -1,9 +1,11 @@
 """Framing and error envelopes: the pure, socket-free protocol layer."""
 
 import asyncio
-import io
 import json
+import socket
 import struct
+import threading
+import time
 
 import pytest
 
@@ -20,54 +22,86 @@ from repro.errors import (
 )
 from repro.net import protocol
 
+from tests.net.frames import read_frames
 
-def encode_many(*payloads) -> io.BytesIO:
-    return io.BytesIO(b"".join(protocol.encode_frame(p) for p in payloads))
+
+def encode_many(*payloads) -> bytes:
+    return b"".join(protocol.encode_frame(p) for p in payloads)
 
 
 class TestFraming:
     def test_round_trip(self):
         payload = {"id": 1, "op": "run", "query": "edge(a,b)", "β": "✓"}
-        stream = encode_many(payload)
-        assert protocol.read_frame(stream.read) == payload
+        assert read_frames(encode_many(payload)) == [payload]
 
     def test_multiple_frames_share_a_stream(self):
         frames = [{"id": i, "op": "fetch"} for i in range(5)]
-        stream = encode_many(*frames)
-        for expected in frames:
-            assert protocol.read_frame(stream.read) == expected
-        assert protocol.read_frame(stream.read) is None  # clean EOF
+        # read_frames stops at the clean EOF after the last frame.
+        assert read_frames(encode_many(*frames)) == frames
 
     def test_eof_at_boundary_is_none(self):
-        assert protocol.read_frame(io.BytesIO(b"").read) is None
+        assert read_frames(b"") == []
 
     def test_eof_inside_length_prefix_raises(self):
         with pytest.raises(ProtocolError, match="mid-frame"):
-            protocol.read_frame(io.BytesIO(b"\x00\x00").read)
+            read_frames(b"\x00\x00")
 
     def test_eof_inside_body_raises(self):
         truncated = protocol.encode_frame({"id": 1})[:-2]
         with pytest.raises(ProtocolError, match="mid-frame"):
-            protocol.read_frame(io.BytesIO(truncated).read)
+            read_frames(truncated)
 
     def test_oversized_announcement_rejected(self):
         prefix = struct.pack("!I", protocol.MAX_FRAME_BYTES + 1)
         with pytest.raises(ProtocolError, match="limit"):
-            protocol.read_frame(io.BytesIO(prefix + b"x").read)
+            read_frames(prefix + b"x")
 
     def test_non_object_body_rejected(self):
         body = json.dumps([1, 2, 3]).encode()
         framed = struct.pack("!I", len(body)) + body
         with pytest.raises(ProtocolError, match="JSON object"):
-            protocol.read_frame(io.BytesIO(framed).read)
+            read_frames(framed)
 
     def test_invalid_json_rejected(self):
         body = b"{not json"
         framed = struct.pack("!I", len(body)) + body
         with pytest.raises(ProtocolError, match="not valid JSON"):
-            protocol.read_frame(io.BytesIO(framed).read)
+            read_frames(framed)
 
-    def test_async_reader_matches_sync(self):
+    def test_reset_after_a_partial_frame_is_truncation(self):
+        # A peer that dies mid-frame with a reset (SO_LINGER 0 sends RST,
+        # not FIN) truncated the stream exactly as an EOF there would:
+        # the reader must say "mid-frame", not report a transport error.
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        port = listener.getsockname()[1]
+
+        def serve():
+            conn, _ = listener.accept()
+            conn.sendall(struct.pack("!I", 100) + b'{"x')
+            time.sleep(0.2)  # the reader takes the prefix, awaits the body
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))
+            conn.close()
+
+        async def main():
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                return await protocol.read_frame_async(reader.readexactly)
+            finally:
+                writer.close()
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        try:
+            with pytest.raises(ProtocolError, match="mid-frame"):
+                asyncio.run(main())
+        finally:
+            server.join(timeout=5)
+            listener.close()
+
+    def test_stream_reader_round_trip(self):
         payload = {"id": 9, "op": "hello"}
         data = protocol.encode_frame(payload)
 

@@ -172,7 +172,7 @@ class TestRunAndFetch:
     def test_closed_cursor_is_gone_server_side(self, session):
         result_set = session.run(TWO_HOP)
         result_set.fetchmany(1)  # opens the server-side cursor
-        cursor_id = result_set._cursor_id
+        cursor_id = result_set._inner._cursor_id
         result_set.close()
         with pytest.raises(CursorError, match="unknown cursor"):
             session._request("fetch", cursor=cursor_id, size=1)

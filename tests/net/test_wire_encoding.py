@@ -24,6 +24,7 @@ from repro.obs.metrics import global_registry
 from repro.service import QueryService
 
 from tests.conftest import graph_database
+from tests.net.frames import read_frames
 
 QUERY = "edge(a,b), edge(b,c)"
 
@@ -82,17 +83,11 @@ def test_unknown_encoding_rejected(server):
 
 def test_server_rejects_bad_fetch_encoding(server):
     with RemoteSession(server.url) as session:
-        conn = session._pool.checkout()
-        try:
-            result = session.run(QUERY)
-            result.fetchmany(1)  # open the cursor on its own connection
-            response = conn.exchange("fetch",
-                                     cursor=result._cursor_id,
-                                     size=1, encoding="msgpack")
-            assert response["ok"] is False
-            assert response["error"]["code"] == "protocol"
-        finally:
-            session._pool.checkin(conn)
+        result = session.run(QUERY)
+        result.fetchmany(1)  # open the cursor on the session's connection
+        with pytest.raises(ProtocolError):
+            session._request("fetch", cursor=result._inner._cursor_id,
+                             size=1, encoding="msgpack")
 
 
 # ----------------------------------------------------------------------
@@ -199,16 +194,10 @@ def test_encode_binary_frame_reports_size_and_cap(monkeypatch):
     assert info.value.size > 64 and info.value.limit == 64
 
 
-def test_sync_read_path_reports_announced_size():
+def test_stream_read_path_reports_announced_size():
     oversized = protocol.MAX_FRAME_BYTES + 17
-    data = protocol._LENGTH.pack(oversized)
-    stream = [data]
-
-    def read(n):
-        return stream.pop(0) if stream else b""
-
     with pytest.raises(FrameError) as info:
-        protocol.read_frame(read)
+        read_frames(protocol._LENGTH.pack(oversized))
     assert info.value.size == oversized
     assert info.value.limit == protocol.MAX_FRAME_BYTES
     assert str(oversized) in str(info.value)

@@ -120,7 +120,7 @@ class TestWireMetrics:
         assert 'repro_requests_total{mode="count",outcome="ok"} 1' in text
         assert "# TYPE repro_ms_certificate_size histogram" in text
 
-    def test_client_pool_counters_and_stats(self, database):
+    def test_client_counters_and_stats(self, database):
         with isolated_registry() as registry:
             with QueryService(database) as service:
                 with ServerThread(service) as server:
@@ -129,13 +129,15 @@ class TestWireMetrics:
                         session.run(TWO_HOP).count()
                         stats = session.stats()
             client = stats["client"]
-            assert client["retries"] == 0
-            assert client["health_replaced"] == 0
-            assert client["dialed"] >= 1
-            assert client["checkouts"] >= 2
+            assert client == {"retries": 0, "reconnects": 0,
+                              "generation": 1}
             assert registry.counter(
-                "repro_client_checkouts_total").value() \
-                == client["checkouts"]
+                "repro_client_retries_total").value() == client["retries"]
+            assert registry.counter(
+                "repro_client_reconnects_total").value() \
+                == client["reconnects"]
+            assert registry.counter("repro_client_bytes_total").value(
+                direction="sent") > 0
 
     def test_trace_round_trips_over_the_wire(self, database):
         with isolated_registry():
